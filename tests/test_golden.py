@@ -1,0 +1,169 @@
+"""Golden SHA-256 digests of every file a small reference experiment writes.
+
+Each config runs end to end (run_experiment, then analyze on its traces),
+and the trace, summary, aggregate and regret files must hash to the pinned
+values; the reliability trainer's model and metrics JSON are pinned the same
+way. The digests were recorded before the exit table and the column-wise
+oracle replaced per-arm replays, so any change in the emitted bytes shows.
+
+Re-pin (only when outputs change on purpose) by printing the current values:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from exitbandit.harness import analyze, parse_config, run_experiment, train_reliability
+
+_GRID = {"size": 10, "low": 0.5, "high": 1.0}
+
+CONFIGS = {
+    "ucb": {"generator": {}, "grid": _GRID, "num_rounds": 400, "seeds": [0, 1]},
+    "shift": {
+        "schedule": [
+            {"start_round": 1, "generator": {"confidence_noise": 0.05}},
+            {"start_round": 201, "generator": {"confidence_noise": 0.4,
+                                                "overconfidence_rate": 0.3}},
+        ],
+        "grid": _GRID, "num_rounds": 400, "seeds": [3, 4],
+    },
+    "fixed": {"generator": {}, "grid": _GRID, "policy": {"type": "fixed", "tau": 0.8},
+              "num_rounds": 400, "seeds": [5]},
+    "random": {"generator": {}, "grid": _GRID, "policy": "random",
+               "num_rounds": 400, "seeds": [6]},
+    "final": {"generator": {}, "grid": _GRID, "policy": "final",
+              "num_rounds": 400, "seeds": [7]},
+    "unpenalized_confidence": {
+        "generator": {"num_layers": 6}, "grid": _GRID, "variant": "product",
+        "criterion": "confidence", "num_rounds": 400, "seeds": [8, 9],
+    },
+}
+
+RELIABILITY_CONFIG = {"generator": {}, "num_rounds": 300, "seeds": [11],
+                      "reliability": {"epochs": 20}}
+
+GOLDEN = {
+    "final": {
+        "aggregate_final.json":
+            "aa484fc9b6674a924fce1a9daba4b11162b2aa47c80ad03a0d91227ba6e38205",
+        "regret_final.csv":
+            "809e3c75721bea24c169fafbde0dbf356c10b202d7450ff58183ca6267d3983d",
+        "summary_final_7.json":
+            "cf72efb0528f272462fec982914b157551cdcbc58d20f1318a3a2271f91edcf4",
+        "trace_final_7.csv":
+            "a8561ce787ab94b639e1fd22b8b0f862ff0e81758b5b63dc463401df147192a4",
+    },
+    "fixed": {
+        "aggregate_fixed0.8.json":
+            "8643c304b52e296a83101590696c2ab48a0b4004f1ccf1723956b97157f9ceeb",
+        "regret_fixed0.8.csv":
+            "2043cea37c837df8c20433d27cd021e6d295bf4233ebf6b2cf8af3ac69470553",
+        "summary_fixed0.8_5.json":
+            "c672723e1858e0290519ee7b64634f26bf83ee979f19b0ecf31cf535f51d13f8",
+        "trace_fixed0.8_5.csv":
+            "b34188a8f3d7a718f1920c16843583f723ef1c127f0411448353f2b15762d173",
+    },
+    "random": {
+        "aggregate_random.json":
+            "e958c8e64fa987af4dc992fbe0127dfdea4c0f2d64f75617e94fea269dd4f48a",
+        "regret_random.csv":
+            "c6afc736abc4473fb0a8b442a53b5f45bbba3d93f75b7988b5caecd0c0c1ce71",
+        "summary_random_6.json":
+            "2403f1c3e49d3bb34a6e82ebaca15dc34e68e6571744df97c12600b3af7105a9",
+        "trace_random_6.csv":
+            "f34e36aa7e67f5e0e1f25fed5a1c0213b9dfc18f6f585d730edeb5488b43b8d9",
+    },
+    "reliability": {
+        "reliability_11.json":
+            "5f90807b1cfccdb6d3fabd257f4fb96f6eddfd2d73ceeb8481d1731dd520615b",
+        "reliability_metrics_11.json":
+            "5a1a12791a7e727e0dae1061c6eea666db406329f3e98462cdc031d12072ea9c",
+    },
+    "shift": {
+        "aggregate_ucb.json":
+            "fc69ec3e0f7b324f645eb8a48d84393e2edb68b8cc3ca79b7bb41e45a27bc2ce",
+        "regret_ucb.csv":
+            "fbfe52315d1a8bd1a3d74e2922dc1c01440e29fc61c61e1ce63b30de0863ca0d",
+        "summary_ucb_3.json":
+            "d1e0870530936c05a67fa737824156526894353007562ecc03ce2866c51f8dbc",
+        "summary_ucb_4.json":
+            "339a6e140db705d5ed407560ea675610e1d010c5a2e790ce421d6be4ce079aa4",
+        "trace_ucb_3.csv":
+            "072df0bcf2a3c92264a03733d983e4cdd55ac98fa604a228b08f99a86e4dd876",
+        "trace_ucb_4.csv":
+            "c35c318cae3219a82fcf2aefb9b8c5eb27b88e099e1faa5e9e8965e69889d8d1",
+    },
+    "ucb": {
+        "aggregate_ucb.json":
+            "a97ba5f2e1405d144d22d535db963a907d0e1dd189a44c124d5b7bdeb320fdc3",
+        "regret_ucb.csv":
+            "c9aee6296de2944c6b53d00ce057be715b577e2fbe8838fa0fc17609cc7e10ca",
+        "summary_ucb_0.json":
+            "8a51f8187c4a5309e2cff0864e1101e75c6e35daf22d7d8a16e7ee252406770e",
+        "summary_ucb_1.json":
+            "80e3628cf4feabc623f19e7db6f2d89c717684a969b293a2b5de676ae8493d15",
+        "trace_ucb_0.csv":
+            "a0cbc41c13c046549b6077c5eeeb8bfa1bd02c22e2fa0ee41cc020129d834df6",
+        "trace_ucb_1.csv":
+            "a3cf12425be06144ad40817beb1843ec552256bddb37a8d0f2a12592e98b2805",
+    },
+    "unpenalized_confidence": {
+        "aggregate_ucb.json":
+            "23eac90f1986931c177b654d3ca7018e2ee73faebf78502970b6e1d09b6b0411",
+        "regret_ucb.csv":
+            "b96137711c0cbd7280cb92dd399bc1a6c3340b4c4fc6c328dc3f139faad0b26a",
+        "summary_ucb_8.json":
+            "325c11f63020a725758319eb6d0414e80d5feeccc6ddc8d0c798d358b507d301",
+        "summary_ucb_9.json":
+            "6cc8ec5a2adcd4c7ed21cf49015b4d1b64ae3f3a4a380476d3058550caaf2125",
+        "trace_ucb_8.csv":
+            "1648c59f03b1c2e2c49190d21dc1c3563dc8bbb00130fbe6959c6a3bc8ae1d06",
+        "trace_ucb_9.csv":
+            "5798abfffadf9949f20cdcd8a507d8b16d198dd6b317cf6a2be4e90dc00247b9",
+    },
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def experiment_digests(name: str, out: Path) -> dict:
+    """Run one reference config into out and hash every file it leaves."""
+    written = run_experiment(parse_config(CONFIGS[name]), out)
+    analyze(written["traces"], out)
+    return {p.name: _sha256(p) for p in sorted(out.iterdir())}
+
+
+def reliability_digests(out: Path) -> dict:
+    config = parse_config(RELIABILITY_CONFIG)
+    result = train_reliability(config, config.seeds[0], out)
+    return {p.name: _sha256(p) for p in (result["model"], result["metrics_file"])}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_experiment_outputs_match_golden_digests(name, tmp_path):
+    assert experiment_digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_reliability_outputs_match_golden_digests(tmp_path):
+    assert reliability_digests(tmp_path) == GOLDEN["reliability"]
+
+
+if __name__ == "__main__":
+    import pprint
+    import tempfile
+
+    current = {}
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            current[name] = experiment_digests(name, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        current["reliability"] = reliability_digests(Path(tmp))
+    pprint.pprint(current, stream=sys.stdout, width=100)
