@@ -24,7 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .env import SampleOutcomes, ThresholdGrid
-from .exits import Criterion, ExitDecision, decide, layer_score
+# decide (the single-threshold form of the rule) stays in this namespace so
+# code that looks up or wraps bandit.decide keeps working
+from .exits import Criterion, ExitDecision, ExitScan, decide  # noqa: F401
 
 
 class RewardVariant(enum.Enum):
@@ -74,10 +76,15 @@ class RewardParams:
     variant: RewardVariant = RewardVariant.PRODUCT_PENALIZED
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+
+    @property
+    def layer_cost(self) -> float:
+        """Per-layer penalty the variant pays: lam if penalized, else 0."""
+        return self.lam if has_penalty(self.variant) else 0.0
 
 
 def lambda_from_epsilon(epsilon: float, num_layers: int) -> float:
@@ -89,6 +96,16 @@ def lambda_from_epsilon(epsilon: float, num_layers: int) -> float:
     return epsilon / num_layers
 
 
+def exit_reward(score_at_exit, exit_layer, layer_cost):
+    """The reward formula: score at exit minus layer_cost per layer used.
+
+    Every reward in the package comes from here: per decision (reward), per
+    runner round and, elementwise on arrays, per oracle column. layer_cost is
+    RewardParams.layer_cost; at 0 the score is returned unchanged.
+    """
+    return score_at_exit - layer_cost * exit_layer
+
+
 def reward(decision: ExitDecision, params: RewardParams) -> float:
     """Reward of one decided round.
 
@@ -97,9 +114,7 @@ def reward(decision: ExitDecision, params: RewardParams) -> float:
     term is whatever criterion produced the decision, so rewards stay
     consistent with the exit rule that generated them.
     """
-    if has_penalty(params.variant):
-        return decision.score_at_exit - params.lam * decision.exit_layer
-    return decision.score_at_exit
+    return exit_reward(decision.score_at_exit, decision.exit_layer, params.layer_cost)
 
 
 def ucb_index(q: float, n: int, t: int, gamma: float) -> float:
@@ -129,8 +144,8 @@ class BanditState:
     t: int = 0
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma!r}")
         k = len(self.grid)
         if not self.q_values:
             self.q_values = [0.0] * k
@@ -234,13 +249,6 @@ class RunTrace:
         return len(self.arms)
 
 
-def final_layer_decision(sample: SampleOutcomes, criterion: Criterion) -> ExitDecision:
-    """Decision that skips thresholding entirely and exits at the last layer."""
-    last = sample.per_layer[-1]
-    s = layer_score(last, criterion)
-    return ExitDecision(last.layer_index, s, False, (s,))
-
-
 def run_policy(
     policy,
     samples,
@@ -286,9 +294,9 @@ def run_many(
     """Run several policies in lockstep over one shared sample stream.
 
     Every policy sees the identical samples (common random numbers), so
-    cross-policy comparisons are paired. Exit decisions are computed once
-    per distinct arm per round, not once per policy. Returns one RunTrace
-    per policy, in input order.
+    cross-policy comparisons are paired. Each round's layers are scored at
+    most once, however many policies play (see ExitScan). Returns one
+    RunTrace per policy, in input order.
     """
     if criterion is None:
         criterion = natural_criterion(reward_params.variant)
@@ -307,30 +315,23 @@ def run_many(
     realized: list[list[bool]] = [[] for _ in range(k)]
     reliab: list[list[float]] = [[] for _ in range(k)]
 
-    lam = reward_params.lam
-    penalized = has_penalty(reward_params.variant)
+    layer_cost = reward_params.layer_cost
     if num_rounds is not None:
         samples = itertools.islice(samples, num_rounds)
     t = 0
     for t, sample in enumerate(samples, start=1):
         if sample.num_layers != num_layers:
             raise ValueError("stream depth does not match reward_params.num_layers")
-        decided: dict = {}
+        scan = ExitScan(sample, criterion)
         for j, policy in enumerate(policies):
             arm = policy.select(t)
-            d = decided.get(arm)
-            if d is None:
-                if arm is None:
-                    d = final_layer_decision(sample, criterion)
-                else:
-                    d = decide(sample, arm, criterion)
-                decided[arm] = d
-            r = d.score_at_exit - lam * d.exit_layer if penalized else d.score_at_exit
+            layer, s = scan.exit(arm)
+            r = exit_reward(s, layer, layer_cost)
             policy.observe(arm, r)
-            at_exit = sample.per_layer[d.exit_layer - 1]
+            at_exit = sample.per_layer[layer - 1]
             arms[j].append(arm)
-            exit_layers[j].append(d.exit_layer)
-            scores[j].append(d.score_at_exit)
+            exit_layers[j].append(layer)
+            scores[j].append(s)
             rewards[j].append(r)
             cps[j].append(at_exit.correct_prob)
             realized[j].append(at_exit.realized_correct)

@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bandit import RewardParams, RunTrace, natural_criterion, run_policy
+from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy
 from .env import SampleOutcomes, ThresholdGrid
-from .exits import Criterion
+from .exits import Criterion, exit_columns
 
 
 class FixedPolicy:
@@ -104,14 +104,17 @@ def oracle_best_arm(
     """Exhaustively replay every arm; return (best arm, per-arm mean rewards).
 
     Mean reward ties break toward the smallest threshold. The means define
-    the gaps used by every regret metric downstream.
+    the gaps used by every regret metric downstream. Each arm's rewards are
+    those replay_arm would record (same exits, same reward formula) and are
+    summed exactly, so a mean equals math.fsum(replay_arm(tau).rewards) / T.
     """
     if criterion is None:
         criterion = natural_criterion(params.variant)
+    columns = exit_columns(samples, grid.values, criterion, params.num_layers)
     means: dict[float, float] = {}
-    for tau in grid.values:
-        trace = replay_arm(tau, samples, params, criterion, grid=grid)
-        means[tau] = math.fsum(trace.rewards) / len(trace)
+    for tau, (layers, at_exit) in zip(grid.values, columns):
+        rewards = exit_reward(at_exit, layers, params.layer_cost)
+        means[tau] = math.fsum(rewards.tolist()) / len(rewards)
     best = grid.values[0]
     for tau in grid.values[1:]:
         if means[tau] > means[best]:

@@ -8,6 +8,8 @@ per round, and the outcome at the chosen exit layer determines the reward.
 from __future__ import annotations
 
 import bisect
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +82,15 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_layers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("difficulty_spread", "depth_gain", "confidence_noise",
+                     "reliability_signal", "overconfidence_rate", "noise_accuracy_drag"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.num_layers < 2:
             raise ValueError("num_layers must be >= 2")
         if self.difficulty_spread < 0:

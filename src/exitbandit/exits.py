@@ -3,12 +3,22 @@
 The score criterion is configurable; the primary criterion multiplies the
 reported confidence by the reliability scorer's complement, so a layer only
 qualifies when the model is both confident and believed reliable.
+
+The rule comes in three forms that give the same answers: decide (one
+sample, one threshold; the deployed loop's call and the reference), ExitScan
+(one sample, many thresholds, each layer scored at most once) and
+exit_columns (a whole stream, one threshold column at a time).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
+import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,15 +48,41 @@ class ExitDecision:
     per_layer_scores: tuple[float, ...]
 
 
+def _product_score(outcome):
+    return outcome.confidence * (1.0 - outcome.reliability_risk)
+
+
+def _confidence_score(outcome):
+    return outcome.confidence
+
+
+def _reliability_score(outcome):
+    return 1.0 - outcome.reliability_risk
+
+
+# plain arithmetic, so the same scorers also work elementwise on arrays
+_SCORERS = {
+    Criterion.PRODUCT: _product_score,
+    Criterion.CONFIDENCE: _confidence_score,
+    Criterion.RELIABILITY: _reliability_score,
+}
+
+
+def _scorer(criterion: Criterion):
+    try:
+        return _SCORERS[criterion]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown criterion {criterion!r}") from None
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError(f"threshold {threshold!r} outside (0, 1]")
+
+
 def layer_score(outcome, criterion: Criterion) -> float:
     """Exit score of a single layer outcome under the given criterion."""
-    if criterion is Criterion.PRODUCT:
-        return outcome.confidence * (1.0 - outcome.reliability_risk)
-    if criterion is Criterion.CONFIDENCE:
-        return outcome.confidence
-    if criterion is Criterion.RELIABILITY:
-        return 1.0 - outcome.reliability_risk
-    raise ValueError(f"unknown criterion {criterion!r}")
+    return _scorer(criterion)(outcome)
 
 
 def decide(
@@ -57,19 +93,105 @@ def decide(
     The comparison is inclusive: a score exactly equal to the threshold
     exits. Layers beyond the exit are never evaluated.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold {threshold!r} outside (0, 1]")
+    _check_threshold(threshold)
+    score = _scorer(criterion)
     per_layer = sample.per_layer
     last = len(per_layer) - 1
     scores: list[float] = []
     for pos in range(last):
-        s = layer_score(per_layer[pos], criterion)
+        s = score(per_layer[pos])
         scores.append(s)
         if s >= threshold:
             return ExitDecision(pos + 1, s, True, tuple(scores))
-    s = layer_score(per_layer[last], criterion)
+    s = score(per_layer[last])
     scores.append(s)
     return ExitDecision(last + 1, s, False, tuple(scores))
+
+
+class ExitScan:
+    """Exit decisions of one sample for any number of thresholds.
+
+    Layers are scored lazily, only as deep as the deepest threshold asked so
+    far needs, and each at most once. The running max of the scores scored so
+    far (final layer excluded) is kept, so a threshold it already clears is
+    resolved by bisection. exit(threshold) returns decide's (exit_layer,
+    score_at_exit); threshold None exits at the final layer.
+    """
+
+    __slots__ = ("_per_layer", "_score", "_scores", "_prefix_max", "_final")
+
+    def __init__(self, sample: SampleOutcomes, criterion: Criterion = Criterion.PRODUCT):
+        self._per_layer = sample.per_layer
+        self._score = _scorer(criterion)
+        self._scores: list[float] = []
+        self._prefix_max: list[float] = []
+        self._final = None
+
+    def exit(self, threshold) -> tuple[int, float]:
+        if threshold is not None:
+            _check_threshold(threshold)
+            prefix_max = self._prefix_max
+            if prefix_max and prefix_max[-1] >= threshold:
+                pos = bisect.bisect_left(prefix_max, threshold)
+                return pos + 1, self._scores[pos]
+            per_layer, score, scores = self._per_layer, self._score, self._scores
+            best = prefix_max[-1] if prefix_max else -math.inf
+            for pos in range(len(scores), len(per_layer) - 1):
+                s = score(per_layer[pos])
+                scores.append(s)
+                if s > best:
+                    best = s
+                prefix_max.append(best)
+                if s >= threshold:
+                    return pos + 1, s
+        if self._final is None:
+            self._final = self._score(self._per_layer[-1])
+        return len(self._per_layer), self._final
+
+
+_BLOCK_ROWS = 256
+
+
+def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
+                 num_layers=None):
+    """Batch form of decide over a whole stream, one threshold at a time.
+
+    Yields (exit_layers, scores_at_exit), two length-T arrays, per threshold
+    in order. Every sample must have num_layers layers (default: the first
+    sample's). Each layer is scored once, into a (T, L) table whose row t
+    holds the running max of sample t's scores over layers 1..L-1, then its
+    final-layer score. A row's exit is the number of running-max entries
+    below the threshold; at an early exit the running max is the exit score.
+    """
+    score = _scorer(criterion)
+    samples = list(samples)
+    if not samples:
+        raise ValueError("empty sample stream")
+    if num_layers is None:
+        num_layers = samples[0].num_layers
+    if any(len(s.per_layer) != num_layers for s in samples):
+        raise ValueError("stream depth does not match num_layers")
+
+    def column(block, name: str) -> np.ndarray:
+        outcomes = itertools.chain.from_iterable(s.per_layer for s in block)
+        return np.fromiter(map(operator.attrgetter(name), outcomes), dtype=np.float64,
+                           count=len(block) * num_layers).reshape(len(block), num_layers)
+
+    # scored in row blocks so the temporaries stay small next to the table
+    table = np.empty((len(samples), num_layers))
+    for start in range(0, len(samples), _BLOCK_ROWS):
+        block = samples[start:start + _BLOCK_ROWS]
+        table[start:start + len(block)] = score(SimpleNamespace(
+            confidence=column(block, "confidence"),
+            reliability_risk=column(block, "reliability_risk"),
+        ))
+    running_max = table[:, :-1]
+    np.maximum.accumulate(running_max, axis=1, out=running_max)
+    rows = np.arange(len(samples))
+    for threshold in thresholds:
+        _check_threshold(threshold)
+        pos = np.count_nonzero(running_max < threshold, axis=1)
+        yield pos + 1, table[rows, pos]
 
 
 def exit_distribution(
@@ -82,11 +204,6 @@ def exit_distribution(
     samples = list(samples)
     if len(samples) == 0:
         raise ValueError("no samples given")
-    num_layers = samples[0].num_layers
-    layers = np.fromiter(
-        (decide(s, threshold, criterion).exit_layer for s in samples),
-        dtype=np.int64,
-        count=len(samples),
-    )
-    counts = np.bincount(layers, minlength=num_layers + 1)[1:]
+    (layers, _), = exit_columns(samples, (threshold,), criterion)
+    counts = np.bincount(layers, minlength=samples[0].num_layers + 1)[1:]
     return counts / layers.size

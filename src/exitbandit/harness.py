@@ -74,6 +74,22 @@ def _strict(payload: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer; floats, booleans and strings are errors, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return float(value)
+
+
 _GENERATOR_KEYS = tuple(f.name for f in dataclasses.fields(GeneratorParams))
 
 
@@ -98,7 +114,7 @@ def _parse_schedule(payload, where: str) -> ShiftSchedule:
         if "start_round" not in seg or "generator" not in seg:
             raise ConfigError(f"{where}[{pos}] needs start_round and generator")
         segments.append(
-            (int(seg["start_round"]),
+            (_integer(seg["start_round"], f"{where}[{pos}].start_round"),
              _parse_generator(seg["generator"], f"{where}[{pos}].generator"))
         )
     try:
@@ -116,14 +132,17 @@ def _parse_grid(payload, where: str) -> ThresholdGrid:
         raise ConfigError(f"{where} must be an object")
     if "values" in payload:
         _strict(payload, ("values",), where)
+        values = payload["values"]
+        if not isinstance(values, list):
+            raise ConfigError(f"{where}.values must be a list")
         try:
-            return ThresholdGrid(tuple(float(v) for v in payload["values"]))
-        except (TypeError, ValueError) as e:
+            return ThresholdGrid(tuple(_number(v, f"{where}.values") for v in values))
+        except ValueError as e:
             raise ConfigError(f"invalid {where}: {e}") from e
     _strict(payload, ("size", "low", "high"), where)
-    size = int(payload.get("size", DEFAULT_GRID_SIZE))
-    low = float(payload.get("low", DEFAULT_GRID_LOW))
-    high = float(payload.get("high", DEFAULT_GRID_HIGH))
+    size = _integer(payload.get("size", DEFAULT_GRID_SIZE), f"{where}.size")
+    low = _number(payload.get("low", DEFAULT_GRID_LOW), f"{where}.low")
+    high = _number(payload.get("high", DEFAULT_GRID_HIGH), f"{where}.high")
     if size < 1:
         raise ConfigError(f"{where}.size must be >= 1")
     try:
@@ -162,7 +181,7 @@ def _parse_policy(payload, where: str) -> PolicySpec:
             raise ConfigError(f"{where}.type must be 'fixed'")
         if "tau" not in payload:
             raise ConfigError(f"{where} needs tau")
-        return PolicySpec("fixed", float(payload["tau"]))
+        return PolicySpec("fixed", _number(payload["tau"], f"{where}.tau"))
     raise ConfigError(f"{where} must be a string or object")
 
 
@@ -176,6 +195,9 @@ class TrainingSettings:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
+        _integer(self.epochs, "reliability.epochs")
+        for name in ("learning_rate", "sharpness", "holdout_fraction"):
+            _number(getattr(self, name), f"reliability.{name}")
         if self.epochs < 1:
             raise ConfigError("reliability.epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -247,17 +269,17 @@ def parse_config(payload: dict) -> ExperimentConfig:
 
     grid = _parse_grid(payload.get("grid", {}), "grid")
 
-    gamma = float(payload.get("gamma", math.sqrt(2.0)))
+    gamma = _number(payload.get("gamma", math.sqrt(2.0)), "gamma")
     if gamma < 1.0:
         raise ConfigError("gamma must be >= 1")
 
-    epsilon = float(payload.get("epsilon", DEFAULT_EPSILON))
+    epsilon = _number(payload.get("epsilon", DEFAULT_EPSILON), "epsilon")
     if not (0.0 < epsilon < 1.0):
         raise ConfigError("epsilon must be in (0, 1)")
 
     lam_spec = payload.get("lambda", "auto")
     if lam_spec != "auto":
-        lam_spec = float(lam_spec)
+        lam_spec = _number(lam_spec, "lambda")
         if lam_spec < 0.0:
             raise ConfigError("lambda must be >= 0 or 'auto'")
 
@@ -284,14 +306,15 @@ def parse_config(payload: dict) -> ExperimentConfig:
 
     if "num_rounds" not in payload:
         raise ConfigError("config needs num_rounds")
-    num_rounds = int(payload["num_rounds"])
-    if num_rounds < 1:
-        raise ConfigError("num_rounds must be >= 1")
+    num_rounds = _integer(payload["num_rounds"], "num_rounds")
+    if num_rounds < 2:
+        # the summary's regret bound needs ln(num_rounds) > 0
+        raise ConfigError("num_rounds must be >= 2")
 
     seeds_raw = payload.get("seeds", [0])
     if not isinstance(seeds_raw, list) or not seeds_raw:
         raise ConfigError("seeds must be a non-empty list")
-    seeds = tuple(int(s) for s in seeds_raw)
+    seeds = tuple(_integer(s, "seeds") for s in seeds_raw)
     if any(s < 0 for s in seeds):
         raise ConfigError("seeds must be >= 0")
     if len(set(seeds)) != len(seeds):
@@ -301,7 +324,7 @@ def parse_config(payload: dict) -> ExperimentConfig:
     if log_mode not in ("round", "horizon"):
         raise ConfigError("log_mode must be 'round' or 'horizon'")
 
-    calibration_tol = float(payload.get("calibration_tol", 0.1))
+    calibration_tol = _number(payload.get("calibration_tol", 0.1), "calibration_tol")
     if not (0.0 < calibration_tol < 1.0):
         raise ConfigError("calibration_tol must be in (0, 1)")
 

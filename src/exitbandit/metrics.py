@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bandit import RunTrace, has_penalty
+from .bandit import RunTrace
 
 
 def arm_gaps(per_arm_means: dict[float, float], best_mean: Optional[float] = None) -> dict[float, float]:
@@ -116,9 +116,7 @@ def hoeffding_ci(
 def reward_range_for(trace: RunTrace) -> float:
     """Width of the reward support: 1 for plain scores, 1 + lam*L penalized."""
     params = trace.reward_params
-    if has_penalty(params.variant):
-        return 1.0 + params.lam * params.num_layers
-    return 1.0
+    return 1.0 + params.layer_cost * params.num_layers
 
 
 def empirical_risk(trace: RunTrace) -> tuple[float, float]:

@@ -69,11 +69,13 @@ def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> Sample
     sigma = params.confidence_noise
     rs = params.reliability_signal
 
-    # fixed draw order; scale noise by hand so sigma=0 consumes the same entropy
+    # fixed draw order; scale noise by hand so sigma=0 consumes the same entropy.
+    # The vectors become plain floats once, so everything below (and every
+    # stored field) is Python float arithmetic with the same IEEE values.
     d = params.difficulty_spread * rng.standard_normal()
-    conf_noise = sigma * rng.standard_normal(L)
-    realized_u = rng.random(L)
-    feat_noise = (1.0 - rs) * rng.standard_normal(L)
+    conf_noise = (sigma * rng.standard_normal(L)).tolist()
+    realized_u = rng.random(L).tolist()
+    feat_noise = ((1.0 - rs) * rng.standard_normal(L)).tolist()
     corrupt_u = rng.random()
 
     d_eff = d + params.noise_accuracy_drag * sigma

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitbandit import (
     Criterion,
@@ -212,6 +215,99 @@ class TestParseConfigValidation:
     def test_out_dir_validation(self):
         with pytest.raises(ConfigError, match="out_dir"):
             parse_config(minimal(out_dir=""))
+
+
+def _two_segments(start_round):
+    return {"num_rounds": 100, "schedule": [
+        {"start_round": 1, "generator": {}},
+        {"start_round": start_round, "generator": {"confidence_noise": 0.3}},
+    ]}
+
+
+# each of these used to be coerced silently (int() truncation, bool -> 1,
+# NaN slipping past ordered comparisons) and now raises
+SILENTLY_COERCED = {
+    "gamma_nan": (minimal(gamma=float("nan")), "gamma"),
+    "gamma_inf": (minimal(gamma=float("inf")), "gamma"),
+    "lambda_nan": (minimal(**{"lambda": float("nan")}), "lambda"),
+    "lambda_inf": (minimal(**{"lambda": float("inf")}), "lambda"),
+    "seed_fraction": (minimal(seeds=[1.9]), "seeds"),
+    "seed_bool": (minimal(seeds=[True]), "seeds"),
+    "num_rounds_fraction": (minimal(num_rounds=2.5), "num_rounds"),
+    "start_round_fraction": (_two_segments(1.5), "start_round"),
+    "depth_gain_nan": (minimal(generator={"depth_gain": float("nan")}), "depth_gain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SILENTLY_COERCED))
+def test_config_that_was_silently_coerced_is_rejected(case):
+    payload, match = SILENTLY_COERCED[case]
+    with pytest.raises(ConfigError, match=match):
+        parse_config(payload)
+
+
+def test_non_finite_literals_in_a_config_file_are_rejected(tmp_path):
+    # Python's json module reads NaN and Infinity literals
+    path = tmp_path / "config.json"
+    path.write_text('{"generator": {}, "num_rounds": 10, "gamma": Infinity}')
+    with pytest.raises(ConfigError, match="gamma must be finite"):
+        load_config(path)
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+# generated around every domain edge, so both sides of each check occur
+CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "generator": st.fixed_dictionaries({}, optional={
+            "num_layers": st.integers(1, 6),
+            "difficulty_spread": _floats(-0.5, 4.0),
+            "depth_gain": _floats(-20.0, 20.0),
+            "confidence_noise": _floats(-0.1, 1.0),
+            "reliability_signal": _floats(-0.2, 1.2),
+            "overconfidence_rate": _floats(-0.2, 1.2),
+            "noise_accuracy_drag": _floats(-0.5, 3.0),
+            "seed": st.integers(-1, 5),
+        }),
+        "num_rounds": st.integers(-1, 12),
+    },
+    optional={
+        "gamma": _floats(0.5, 4.0),
+        "lambda": st.one_of(st.just("auto"), _floats(-0.1, 0.5)),
+        "epsilon": _floats(-0.1, 1.1),
+        "variant": st.sampled_from([v.value for v in RewardVariant]),
+        "criterion": st.sampled_from([c.value for c in Criterion]),
+        "policy": st.one_of(
+            st.sampled_from(["ucb", "random", "final"]),
+            st.builds(lambda tau: {"type": "fixed", "tau": tau}, _floats(0.3, 1.1)),
+        ),
+        "seeds": st.lists(st.integers(-1, 50), min_size=1, max_size=2),
+        "log_mode": st.sampled_from(["round", "horizon"]),
+        "grid": st.builds(lambda n, lo, hi: {"size": n, "low": lo, "high": hi},
+                          st.integers(0, 4), _floats(-0.1, 1.0), _floats(0.0, 1.2)),
+    },
+)
+
+
+@given(payload=CONFIG_DOCS)
+@settings(max_examples=60, deadline=None)
+def test_every_accepted_config_runs_to_completion(payload):
+    try:
+        config = parse_config(payload)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        written = run_experiment(config, out)
+    assert len(written["traces"]) == len(config.seeds)
+
+
+def test_integral_and_finite_values_still_parse():
+    cfg = parse_config(_two_segments(6) | {"seeds": [0, 7], "gamma": 2, "lambda": 0})
+    assert cfg.seeds == (0, 7)
+    assert cfg.gamma == 2.0 and cfg.lam_spec == 0.0
+    assert [start for start, _ in cfg.schedule.segments] == [1, 6]
 
 
 class TestLoadConfig:
