@@ -80,36 +80,28 @@ def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> Sample
 
     d_eff = d + params.noise_accuracy_drag * sigma
 
-    layers = []
-    for i in range(1, L + 1):
-        depth = i / L
-        cp = _logistic(params.depth_gain * depth - d_eff)
-        realized = bool(realized_u[i - 1] < cp)
-        direction = 1.0 if realized else -1.0
-        conf = _clamp01(cp * direction + conf_noise[i - 1])
-        feat = cp * rs + feat_noise[i - 1]
-        layers.append((i, conf, cp, realized, feat))
-
+    # the corruption draws come last in the order but change no other layer,
+    # so they are taken before the per-layer loop
+    corrupt_idx = 0
     top = max_corruptible_layer(L)
     if top >= 1 and corrupt_u < params.overconfidence_rate:
-        idx = int(rng.integers(1, top + 1))
-        conf = float(rng.uniform(_CORRUPT_CONF_LO, _CORRUPT_CONF_HI))
-        cp = float(rng.uniform(_CORRUPT_PROB_LO, _CORRUPT_PROB_HI))
-        feat = cp * rs + feat_noise[idx - 1]
-        layers[idx - 1] = (idx, conf, cp, False, feat)
+        corrupt_idx = int(rng.integers(1, top + 1))
+        corrupt_conf = float(rng.uniform(_CORRUPT_CONF_LO, _CORRUPT_CONF_HI))
+        corrupt_cp = float(rng.uniform(_CORRUPT_PROB_LO, _CORRUPT_PROB_HI))
 
-    out = tuple(
-        LayerOutcome(
-            layer_index=i,
-            confidence=conf,
-            reliability_risk=1.0 - _clamp01(feat),
-            correct_prob=cp,
-            realized_correct=realized,
-            g_features=(conf, i / L, feat),
-        )
-        for i, conf, cp, realized, feat in layers
-    )
-    return SampleOutcomes(out)
+    layers = []
+    for i in range(1, L + 1):
+        if i == corrupt_idx:
+            conf, cp, realized = corrupt_conf, corrupt_cp, False
+        else:
+            cp = _logistic(params.depth_gain * (i / L) - d_eff)
+            realized = realized_u[i - 1] < cp
+            direction = 1.0 if realized else -1.0
+            conf = _clamp01(cp * direction + conf_noise[i - 1])
+        feat = cp * rs + feat_noise[i - 1]
+        layers.append(LayerOutcome(i, conf, 1.0 - _clamp01(feat), cp, realized,
+                                   (conf, i / L, feat)))
+    return SampleOutcomes(tuple(layers))
 
 
 def round_rng(stream_seed: int, params_seed: int, round_index: int) -> np.random.Generator:
