@@ -21,18 +21,13 @@ from .bandit import (
     run,
     run_many,
     run_policy,
-    select_arm,
     ucb_index,
-    update,
 )
 from .baselines import (
     FinalLayerPolicy,
     FixedPolicy,
     RandomPolicy,
-    final_layer_policy,
-    fixed_policy,
     oracle_best_arm,
-    random_policy,
     replay_arm,
 )
 from .env import (
@@ -69,7 +64,6 @@ from .metrics import (
     delta1_hat,
     empirical_risk,
     hoeffding_ci,
-    lemma1_check,
     mean_exit_layer,
     per_arm_pulls,
     positive_gaps,

@@ -8,9 +8,10 @@ observation is that observation); afterwards the arm maximizing
 
     Q(arm) + gamma * sqrt(ln(round) / N(arm))
 
-is played, ties going to the smallest threshold. select_arm and update are
-deliberately plain-Python over flat lists: per-round controller overhead has
-a microsecond budget and numpy's per-call cost dominates at ten arms.
+is played, ties going to the smallest threshold. BanditState.select_index
+and update_index are deliberately plain-Python over flat lists: per-round
+controller overhead has a microsecond budget and numpy's per-call cost
+dominates at ten arms.
 """
 
 from __future__ import annotations
@@ -200,27 +201,6 @@ class BanditState:
         self.t += 1
 
 
-def select_arm(state: BanditState, grid: ThresholdGrid) -> float:
-    """Threshold to play next: round-robin through the grid, then UCB argmax.
-
-    Ties in the UCB index break toward the smallest threshold (the scan is
-    in increasing threshold order and only a strictly larger index wins).
-    """
-    if grid.values != state.grid.values:
-        raise ValueError("state was built for a different grid")
-    return grid.values[state.select_index()]
-
-
-def update(state: BanditState, arm: float, reward_value: float) -> BanditState:
-    """Fold one observed reward into the arm's running mean; returns state.
-
-    The mean equals the definitional sum-of-rewards / observation-count at
-    every step (to float accumulation error).
-    """
-    state.update_index(state.grid.index_of(arm), reward_value)
-    return state
-
-
 @dataclass
 class RunTrace:
     """Per-round record of one policy run plus identifying metadata.
@@ -342,6 +322,9 @@ def run_many(
     traces = []
     for j, policy in enumerate(policies):
         name = labels[j] if labels is not None else getattr(policy, "name", "policy")
+        run_grid = grid if grid is not None else getattr(policy, "grid", None)
+        if run_grid is None:
+            raise ValueError("pass grid= for policies that do not carry one")
         traces.append(RunTrace(
             policy=name,
             arms=arms[j],
@@ -351,20 +334,13 @@ def run_many(
             correct_probs=np.asarray(cps[j]),
             realized=np.asarray(realized[j], dtype=bool),
             reliabilities=np.asarray(reliab[j]),
-            grid=grid if grid is not None else default_run_grid(policy),
+            grid=run_grid,
             reward_params=reward_params,
             criterion=criterion,
             num_layers=num_layers,
             seed=seed,
         ))
     return traces
-
-
-def default_run_grid(policy) -> ThresholdGrid:
-    grid = getattr(policy, "grid", None)
-    if grid is None:
-        raise ValueError("pass grid= for policies that do not carry one")
-    return grid
 
 
 class UcbPolicy:

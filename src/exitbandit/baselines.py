@@ -64,18 +64,6 @@ class FinalLayerPolicy:
         pass
 
 
-def fixed_policy(tau: float) -> FixedPolicy:
-    return FixedPolicy(tau)
-
-
-def random_policy(grid: ThresholdGrid, seed: int) -> RandomPolicy:
-    return RandomPolicy(grid, seed)
-
-
-def final_layer_policy() -> FinalLayerPolicy:
-    return FinalLayerPolicy()
-
-
 def replay_arm(
     tau: float,
     samples,

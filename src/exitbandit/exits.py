@@ -35,17 +35,11 @@ class Criterion(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ExitDecision:
-    """Outcome of running the exit rule on one sample.
-
-    per_layer_scores holds exactly the scores that were evaluated, in layer
-    order; its length equals exit_layer (layers past the exit are never
-    scored).
-    """
+    """Outcome of running the exit rule on one sample."""
 
     exit_layer: int
     score_at_exit: float
     early: bool
-    per_layer_scores: tuple[float, ...]
 
 
 def _product_score(outcome):
@@ -97,15 +91,11 @@ def decide(
     score = _scorer(criterion)
     per_layer = sample.per_layer
     last = len(per_layer) - 1
-    scores: list[float] = []
     for pos in range(last):
         s = score(per_layer[pos])
-        scores.append(s)
         if s >= threshold:
-            return ExitDecision(pos + 1, s, True, tuple(scores))
-    s = score(per_layer[last])
-    scores.append(s)
-    return ExitDecision(last + 1, s, False, tuple(scores))
+            return ExitDecision(pos + 1, s, True)
+    return ExitDecision(last + 1, score(per_layer[last]), False)
 
 
 class ExitScan:

@@ -113,12 +113,6 @@ def hoeffding_ci(
     return mean_estimate - half, mean_estimate + half
 
 
-def reward_range_for(trace: RunTrace) -> float:
-    """Width of the reward support: 1 for plain scores, 1 + lam*L penalized."""
-    params = trace.reward_params
-    return 1.0 + params.layer_cost * params.num_layers
-
-
 def empirical_risk(trace: RunTrace) -> tuple[float, float]:
     """(expected error at exit, realized error rate).
 
@@ -158,14 +152,6 @@ def delta1_hat(trace: RunTrace, tol: float = 0.1) -> float:
         raise ValueError("empty trace")
     err = np.abs(trace.reliabilities - trace.correct_probs)
     return float(np.mean(err > tol))
-
-
-def lemma1_check(confidence: float, correctness: float) -> float:
-    """Joint score of an exit: confidence times correctness-likelihood."""
-    for name, v in (("confidence", confidence), ("correctness", correctness)):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"{name} {v!r} outside [0, 1]")
-    return confidence * correctness
 
 
 def risk_bound_check(

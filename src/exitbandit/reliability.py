@@ -399,8 +399,10 @@ def loss_interference_experiment(
     features), then trains the same logistic classifier twice from the same
     init: once on depth-weighted plain cross-entropy, once jointly with a
     reliability scorer under the full objective (ce scaled by 1 + g plus
-    the coverage hinge). Returns both deepest-layer held-out accuracies and
-    their gap.
+    the coverage hinge). The scorer's gradient is objective_gradient's on a
+    Dataset of the classifier's per-layer rows; only the classifier's
+    (1 + g)-scaled gradient is written out here. Returns both deepest-layer
+    held-out accuracies and their gap.
     """
     rng = np.random.default_rng(seed)
     true_w = np.asarray([1.5, -1.0])
@@ -420,57 +422,35 @@ def loss_interference_experiment(
 
     depth_w = np.arange(1, num_layers + 1, dtype=np.float64)
     depth_w /= depth_w.sum()
-    depth_feature = np.arange(1, num_layers + 1, dtype=np.float64) / num_layers
+    layer_index = np.repeat(np.arange(1, num_layers + 1), n_train)
+    # the scorer's design rows [x, layer/L, 1], layer-major as in a Dataset
+    g_in = np.column_stack(
+        (x_train.reshape(-1, 2), layer_index / num_layers, np.ones(len(layer_index)))
+    )
+    warmup = CoverageTargets((0.0,) * num_layers)
+    targets = CoverageTargets((0.7,) * num_layers)
     eps = 1e-12
-
-    def forward_clf(v):
-        logits = x_train @ v[:2] + v[2]
-        p = _sigmoid(logits)
-        ce = -(y_train * np.log(np.maximum(p, eps))
-               + (1.0 - y_train) * np.log(np.maximum(1.0 - p, eps)))
-        return p, ce
 
     def run(joint: bool):
         v = np.zeros(3)
         wg = np.zeros(4)
-        targets = np.full(num_layers, 0.7)
         for epoch in range(epochs):
-            p, ce = forward_clf(v)
-            dce_dlogit = p - y_train  # (L, n)
+            p = _sigmoid(x_train @ v[:2] + v[2])  # (L, n)
+            scale = 1.0
             if joint:
-                g_in = np.concatenate(
-                    [
-                        x_train,
-                        np.broadcast_to(
-                            depth_feature[:, None, None], (num_layers, n_train, 1)
-                        ),
-                        np.ones((num_layers, n_train, 1)),
-                    ],
-                    axis=2,
-                )
-                g = _sigmoid(g_in @ wg)
-                gp = g * (1.0 - g)
-                sur = _sigmoid(sharpness * (g - 0.5))
-                sur_p = sharpness * sur * (1.0 - sur)
-                scale = 1.0 + g
-            else:
-                scale = np.ones_like(p)
-            grad_v = np.zeros(3)
-            grad_g = np.zeros(4)
-            for i in range(num_layers):
-                coeff = depth_w[i] * scale[i] * dce_dlogit[i] / n_train
-                grad_v[:2] += coeff @ x_train[i]
-                grad_v[2] += coeff.sum()
-                if joint:
-                    cov = float(np.mean(sur[i]))
-                    gap = (0.0 if epoch == 0 else targets[i]) - cov
-                    dg = ce[i] * gp[i] / n_train
-                    if gap > 0.0:
-                        dg = dg - (2.0 * gap / n_train) * sur_p[i] * gp[i]
-                    grad_g += depth_w[i] * (dg @ g_in[i])
-            v -= learning_rate * grad_v
-            if joint:
+                ce = -(y_train * np.log(np.maximum(p, eps))
+                       + (1.0 - y_train) * np.log(np.maximum(1.0 - p, eps)))
+                scale = 1.0 + _sigmoid(g_in @ wg).reshape(num_layers, n_train)
+                rows = Dataset(g_in, ce.ravel(), layer_index,
+                               ((p > 0.5) == (y_train > 0.5)).ravel(), num_layers)
+                # the first epoch trains with zero coverage floors, as train does
+                _, grad_g = objective_gradient(
+                    wg, rows, warmup if epoch == 0 else targets, sharpness)
                 wg -= learning_rate * grad_g
+            # classifier cross-entropy gradient, scaled by (1 + g) when joint
+            coeff = depth_w[:, None] * scale * (p - y_train) / n_train
+            grad_v = np.append(np.einsum("ln,lnd->d", coeff, x_train), coeff.sum())
+            v -= learning_rate * grad_v
         return v
 
     def final_accuracy(v):

@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ import pytest
 from conftest import make_sample
 from exitbandit import (
     BanditState,
+    Criterion,
+    FinalLayerPolicy,
+    FixedPolicy,
     GeneratorParams,
+    RandomPolicy,
     RewardParams,
     RewardVariant,
     ShiftSchedule,
@@ -35,13 +40,10 @@ from exitbandit import (
     decide,
     default_grid,
     empirical_risk,
-    final_layer_policy,
-    fixed_policy,
     iter_samples,
-    lemma1_check,
+    layer_score,
     per_arm_pulls,
     positive_gaps,
-    random_policy,
     replay_arm,
     reward,
     run,
@@ -216,9 +218,9 @@ def test_criterion_05_policy_ordering(capsys):
     for s in range(5):
         policies = [
             UcbPolicy(G, gamma=math.sqrt(2.0)),
-            fixed_policy(G.values[6]),
-            random_policy(G, seed=7000 + s),
-            final_layer_policy(),
+            FixedPolicy(G.values[6]),
+            RandomPolicy(G, seed=7000 + s),
+            FinalLayerPolicy(),
         ]
         traces = run_many(policies, iter_samples(sch, horizon, seed=100 + s),
                           RP, grid=G, num_rounds=horizon, seed=100 + s)
@@ -242,7 +244,7 @@ def test_criterion_06_shift_adaptation(capsys):
     exits = np.zeros(11)
     for s in range(10):
         sch = ShiftSchedule(((1, DEFAULTS), (cut + 1, shifted)))
-        policies = [UcbPolicy(G)] + [fixed_policy(v) for v in G.values]
+        policies = [UcbPolicy(G)] + [FixedPolicy(v) for v in G.values]
         traces = run_many(policies, iter_samples(sch, horizon, seed=300 + s),
                           RP, grid=G, num_rounds=horizon, seed=300 + s)
         for i, tr in enumerate(traces):
@@ -352,17 +354,18 @@ def test_criterion_08_reliability_trainer(capsys):
 
 
 def test_criterion_09_numeric_exactness(capsys):
-    # joint-score fusion is the exact product
+    # joint-score fusion, through the exit rule's own product scorer, is the
+    # exact product of confidence and correctness (1 - reliability risk)
+    def fused(conf, corr):
+        outcome = SimpleNamespace(confidence=conf, reliability_risk=1.0 - corr)
+        return layer_score(outcome, Criterion.PRODUCT)
+
     cs = np.linspace(0.0, 1.0, 21)
-    fused = np.array([[lemma1_check(c, p) for p in cs] for c in cs])
-    lemma_ok = float(np.max(np.abs(fused - np.outer(cs, cs)))) <= 1e-12
+    lemma_ok = float(np.max(np.abs(fused(cs[:, None], cs) - np.outer(cs, cs)))) <= 1e-12
     rng = np.random.default_rng(4)
     conf, corr = rng.random(16), rng.random(16)
-    base = np.argmax([lemma1_check(c, k) for c, k in zip(conf, corr)])
-    scale_ok = all(
-        np.argmax([lemma1_check(s * c, k) for c, k in zip(conf, corr)]) == base
-        for s in (0.25, 0.5, 0.99)
-    )
+    base = np.argmax(fused(conf, corr))
+    scale_ok = all(np.argmax(fused(s * conf, corr)) == base for s in (0.25, 0.5, 0.99))
 
     # per-round regret summation equals the exact rational multiset total
     sch = ShiftSchedule.constant(DEFAULTS)

@@ -25,9 +25,7 @@ from exitbandit import (
     run,
     run_many,
     run_policy,
-    select_arm,
     ucb_index,
-    update,
 )
 
 
@@ -127,15 +125,15 @@ class TestBanditState:
     def test_round_robin_initialization(self):
         grid = default_grid()
         state = BanditState(grid=grid)
-        update(state, select_arm(state, grid), 0.4)
-        update(state, select_arm(state, grid), 0.4)
+        state.update_index(state.select_index(), 0.4)
+        state.update_index(state.select_index(), 0.4)
         # round 3 of a 10-arm grid still initializes: third arm
-        assert select_arm(state, grid) == grid.values[2]
+        assert state.select_index() == 2
 
     def test_first_observation_keeps_count_at_one(self):
         grid = ThresholdGrid((0.5, 1.0))
         state = BanditState(grid=grid)
-        update(state, 0.5, 0.5)
+        state.update_index(grid.index_of(0.5), 0.5)
         assert state.q[0.5] == 0.5
         assert state.n[0.5] == 1
         assert state.t == 1
@@ -143,8 +141,8 @@ class TestBanditState:
     def test_running_mean(self):
         grid = ThresholdGrid((0.5,))
         state = BanditState(grid=grid)
-        update(state, 0.5, 0.2)
-        update(state, 0.5, 0.4)
+        state.update_index(0, 0.2)
+        state.update_index(0, 0.4)
         assert state.q[0.5] == pytest.approx(0.3, abs=1e-12)
         assert state.n[0.5] == 2
 
@@ -153,16 +151,15 @@ class TestBanditState:
         state = BanditState(grid=grid)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            arm = select_arm(state, grid)
-            update(state, arm, float(rng.random()))
+            state.update_index(state.select_index(), float(rng.random()))
         assert sum(state.pull_counts) == state.t == 50
 
     def test_tie_breaks_toward_smaller_threshold(self):
         grid = ThresholdGrid((0.25, 0.5, 0.75))
         state = BanditState(grid=grid, gamma=1.0)
-        for arm in grid.values:
-            update(state, arm, 0.6)  # identical rewards, identical indices
-        assert select_arm(state, grid) == 0.25
+        for i in range(len(grid)):
+            state.update_index(i, 0.6)  # identical rewards, identical indices
+        assert grid.values[state.select_index()] == 0.25
 
     def test_dominant_arm_selected(self):
         grid = ThresholdGrid((0.3, 0.6))
@@ -177,7 +174,7 @@ class TestBanditState:
         i0 = ucb_index(0.9, 50, 101, 1.5)
         i1 = ucb_index(0.1, 50, 101, 1.5)
         assert i0 > i1
-        assert select_arm(state, grid) == 0.3
+        assert grid.values[state.select_index()] == 0.3
 
     def test_incremental_mean_matches_batch(self):
         rng = np.random.default_rng(7)
@@ -187,11 +184,6 @@ class TestBanditState:
         for r in rewards:
             state.update_index(0, float(r))
         assert abs(state.q_values[0] - rewards.mean()) < 1e-12
-
-    def test_grid_mismatch_rejected(self):
-        state = BanditState(grid=ThresholdGrid((0.5,)))
-        with pytest.raises(ValueError, match="different grid"):
-            select_arm(state, ThresholdGrid((0.25, 0.5)))
 
     @given(rewards=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)

@@ -18,8 +18,6 @@ from exitbandit import (
     default_grid,
     empirical_risk,
     exit_distribution,
-    final_layer_policy,
-    fixed_policy,
     mean_exit_layer,
     oracle_best_arm,
     replay_arm,
@@ -90,7 +88,7 @@ class TestRandomPolicy:
 class TestFinalLayerPolicy:
     def test_speedup_is_exactly_one(self, default_stream):
         trace = run_policy(
-            final_layer_policy(), default_stream[:500], DEFAULT_PARAMS,
+            FinalLayerPolicy(), default_stream[:500], DEFAULT_PARAMS,
             grid=default_grid(),
         )
         assert np.all(trace.exit_layers == 12)
@@ -99,7 +97,7 @@ class TestFinalLayerPolicy:
     def test_risk_equals_final_layer_error(self, default_stream):
         part = default_stream[:500]
         trace = run_policy(
-            final_layer_policy(), part, DEFAULT_PARAMS, grid=default_grid(),
+            FinalLayerPolicy(), part, DEFAULT_PARAMS, grid=default_grid(),
         )
         expected = 1.0 - np.mean([s.final_label_correct_prob for s in part])
         assert empirical_risk(trace)[0] == pytest.approx(expected, abs=1e-12)
@@ -108,7 +106,7 @@ class TestFinalLayerPolicy:
         hist = exit_distribution(default_stream[:200], 1.0)
         # threshold 1.0 rarely triggers early; the final-layer policy never does
         trace = run_policy(
-            final_layer_policy(), default_stream[:200], DEFAULT_PARAMS,
+            FinalLayerPolicy(), default_stream[:200], DEFAULT_PARAMS,
             grid=default_grid(),
         )
         got = np.bincount(trace.exit_layers, minlength=13)[1:] / 200
@@ -126,7 +124,7 @@ class TestFinalLayerPolicy:
         samples = constant_stream([0.5, 0.8], 4)
         params = RewardParams(lam=0.1, num_layers=2)
         trace = run_policy(
-            final_layer_policy(), samples, params, grid=ThresholdGrid((0.5,)),
+            FinalLayerPolicy(), samples, params, grid=ThresholdGrid((0.5,)),
         )
         assert np.all(trace.rewards == 0.8 - 0.2)
 
@@ -174,8 +172,3 @@ class TestOracleBestArm:
         assert means[0.9] == pytest.approx(0.9 - 0.02, abs=1e-15)
         trace = replay_arm(0.5, samples, params)
         assert means[0.5] == math.fsum(trace.rewards) / 7
-
-
-def test_factories_return_fresh_instances():
-    assert fixed_policy(0.5) is not fixed_policy(0.5)
-    assert final_layer_policy().select(1) is None

@@ -90,7 +90,7 @@ def reference_decision(sample, arm, criterion):
     if arm is None:
         last = sample.per_layer[-1]
         s = layer_score(last, criterion)
-        return ExitDecision(last.layer_index, s, False, (s,))
+        return ExitDecision(last.layer_index, s, False)
     return decide(sample, arm, criterion)
 
 

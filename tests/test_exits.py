@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample
-from exitbandit import Criterion, LayerOutcome, decide, exit_distribution, layer_score
+from exitbandit import Criterion, LayerOutcome, decide, exit_distribution, exits, layer_score
+
+
+@pytest.fixture
+def scored_layers(monkeypatch):
+    """Layer indices the product scorer is called on, in call order."""
+    calls = []
+    monkeypatch.setitem(exits._SCORERS, Criterion.PRODUCT,
+                        lambda o: calls.append(o.layer_index) or o.confidence)
+    return calls
 
 
 class TestLayerScore:
@@ -57,14 +66,14 @@ class TestDecide:
         d = decide(make_sample([0.7, 0.9]), 0.7)
         assert d.exit_layer == 1
 
-    def test_layers_past_exit_never_scored(self):
+    def test_layers_past_exit_never_scored(self, scored_layers):
         d = decide(make_sample([0.2, 0.8, 0.6, 0.6]), 0.75)
-        assert d.per_layer_scores == (0.2, 0.8)
-        assert len(d.per_layer_scores) == d.exit_layer
+        assert d.exit_layer == 2
+        assert scored_layers == [1, 2]
 
-    def test_final_layer_scored_even_without_crossing(self):
+    def test_final_layer_scored_even_without_crossing(self, scored_layers):
         d = decide(make_sample([0.1, 0.2]), 0.9)
-        assert d.per_layer_scores == (0.1, 0.2)
+        assert scored_layers == [1, 2]
         assert d.score_at_exit == 0.2
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1])

@@ -2,12 +2,14 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import make_trace
 from exitbandit import (
+    Criterion,
     GeneratorParams,
     RewardParams,
     RewardVariant,
@@ -19,7 +21,7 @@ from exitbandit import (
     delta1_hat,
     empirical_risk,
     hoeffding_ci,
-    lemma1_check,
+    layer_score,
     mean_exit_layer,
     oracle_best_arm,
     per_arm_pulls,
@@ -31,7 +33,7 @@ from exitbandit import (
     stream,
     summarize,
 )
-from exitbandit.metrics import attach_regret, reward_range_for
+from exitbandit.metrics import attach_regret
 
 
 class TestGaps:
@@ -138,16 +140,6 @@ class TestHoeffdingCi:
         with pytest.raises(ValueError):
             hoeffding_ci(0.5, 5, 100, reward_range=0.0)
 
-    def test_reward_range_for_trace(self):
-        lam = 0.01
-        penalized = make_trace(
-            arms=[0.5], exit_layers=[1], lam=lam,
-            variant=RewardVariant.PRODUCT_PENALIZED,
-        )
-        plain = make_trace(arms=[0.5], exit_layers=[1], variant=RewardVariant.PRODUCT)
-        assert reward_range_for(penalized) == 1.0 + lam * 12
-        assert reward_range_for(plain) == 1.0
-
 
 class TestEmpiricalRisk:
     def test_expected_error_hand_case(self):
@@ -163,11 +155,11 @@ class TestEmpiricalRisk:
     def test_realized_rate_concentrates_for_unconditional_exits(self):
         # the final-layer policy never conditions on the score, so its
         # realized error rate is a plain Bernoulli mean of the expected one
-        from exitbandit import default_grid, final_layer_policy, run_policy
+        from exitbandit import FinalLayerPolicy, default_grid, run_policy
 
         samples = stream(ShiftSchedule.constant(GeneratorParams()), 10_000, seed=33)
         params = RewardParams(lam=0.01 / 12, num_layers=12)
-        trace = run_policy(final_layer_policy(), samples, params, grid=default_grid())
+        trace = run_policy(FinalLayerPolicy(), samples, params, grid=default_grid())
         expected, realized = empirical_risk(trace)
         sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / 10_000)
         assert abs(realized - expected) <= 3 * sigma
@@ -268,30 +260,29 @@ class TestDelta1Hat:
         assert delta1_hat(trace, 0.2) <= 0.15
 
 
+def joint_score(confidence, correctness):
+    # the product exit criterion, with correctness as 1 - reliability risk
+    outcome = SimpleNamespace(confidence=confidence, reliability_risk=1.0 - correctness)
+    return layer_score(outcome, Criterion.PRODUCT)
+
+
 class TestLemma1Check:
     def test_certain_prediction(self):
-        assert lemma1_check(1.0, 0.37) == 0.37
+        assert joint_score(1.0, 0.37) == pytest.approx(0.37, abs=1e-15)
 
     def test_zero_correctness(self):
-        assert lemma1_check(0.44, 0.0) == 0.0
+        assert joint_score(0.44, 0.0) == 0.0
 
     def test_product_case(self):
-        assert lemma1_check(0.9, 0.8) == pytest.approx(0.72, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lemma1_check(1.2, 0.5)
-        with pytest.raises(ValueError):
-            lemma1_check(0.5, -0.1)
+        assert joint_score(0.9, 0.8) == pytest.approx(0.72, abs=1e-12)
 
     def test_argmax_invariant_under_confidence_rescaling(self):
         rng = np.random.default_rng(4)
         conf = rng.random(16)
         correct = rng.random(16)
-        joint = [lemma1_check(c, k) for c, k in zip(conf, correct)]
+        joint = joint_score(conf, correct)
         for scale in (0.25, 0.5, 0.99):
-            scaled = [lemma1_check(scale * c, k) for c, k in zip(conf, correct)]
-            assert int(np.argmax(scaled)) == int(np.argmax(joint))
+            assert int(np.argmax(joint_score(scale * conf, correct))) == int(np.argmax(joint))
 
 
 class TestRiskBoundCheck:
