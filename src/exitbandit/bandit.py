@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import SampleOutcomes, ThresholdGrid
+from .env import ThresholdGrid
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
 from .exits import Criterion, ExitDecision, ExitScan, decide  # noqa: F401

@@ -95,12 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config, args) -> None:
     if getattr(args, "seed", None) is not None:
-        config.seeds = (args.seed,)
+        config.seeds = harness.parse_seeds([args.seed])
     elif getattr(args, "seeds", None):
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip() != "")
-        if not seeds:
-            raise harness.ConfigError("--seeds got an empty list")
-        config.seeds = seeds
+        config.seeds = harness.parse_seeds(
+            [int(s) for s in args.seeds.split(",") if s.strip() != ""])
     if getattr(args, "out", None):
         config.out_dir = args.out
 

@@ -17,10 +17,12 @@ Trace CSV header (floats printed with 9 significant digits):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import statistics
 import time
 from dataclasses import dataclass
@@ -254,6 +256,22 @@ class ExperimentConfig:
         return RewardParams(self.resolved_lambda, self.num_layers, self.variant)
 
 
+def parse_seeds(seeds) -> tuple[int, ...]:
+    """The seed rule: a non-empty list of distinct JSON integers >= 0.
+
+    The config's seeds and the CLI's --seed/--seeds overrides both go
+    through it, before anything is run or written.
+    """
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("seeds must be a non-empty list")
+    seeds = tuple(_integer(s, "seeds") for s in seeds)
+    if any(s < 0 for s in seeds):
+        raise ConfigError("seeds must be >= 0")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    return seeds
+
+
 def parse_config(payload: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys anywhere are errors."""
     if not isinstance(payload, dict):
@@ -311,14 +329,7 @@ def parse_config(payload: dict) -> ExperimentConfig:
         # the summary's regret bound needs ln(num_rounds) > 0
         raise ConfigError("num_rounds must be >= 2")
 
-    seeds_raw = payload.get("seeds", [0])
-    if not isinstance(seeds_raw, list) or not seeds_raw:
-        raise ConfigError("seeds must be a non-empty list")
-    seeds = tuple(_integer(s, "seeds") for s in seeds_raw)
-    if any(s < 0 for s in seeds):
-        raise ConfigError("seeds must be >= 0")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
+    seeds = parse_seeds(payload.get("seeds", [0]))
 
     log_mode = payload.get("log_mode", "round")
     if log_mode not in ("round", "horizon"):
@@ -424,12 +435,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Text handle on a temp file beside path that replaces path on success.
+
+    Every output file is written through here. If writing fails part way,
+    path keeps its previous content (or stays absent) and the temp file is
+    removed, so no output is ever left half-written.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Emit the per-round trace; requires an attached regret curve."""
     if trace.cum_regret is None:
         raise ValueError("attach a regret curve before writing the trace")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with _replacing(Path(path)) as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
         for i in range(len(trace)):
@@ -478,6 +506,9 @@ def read_trace_csv(path) -> TraceTable:
             [], [], [], [], [], [], [], []
         )
         for row in reader:
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                 f"fields, expected {len(TRACE_HEADER)}")
             rounds.append(int(row[0]))
             arms.append(None if row[1] == FINAL_ARM_TOKEN else float(row[1]))
             layers.append(int(row[2]))
@@ -545,15 +576,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         trace_path = out / f"trace_{label}_{seed}.csv"
         write_trace_csv(result.trace, trace_path)
         summary_path = out / f"summary_{label}_{seed}.json"
-        summary_path.write_text(result.summary.to_json() + "\n")
+        with _replacing(summary_path) as fh:
+            fh.write(result.summary.to_json() + "\n")
         trace_paths.append(trace_path)
         summary_paths.append(summary_path)
         summaries.append(result.summary)
 
     aggregate_path = out / f"aggregate_{label}.json"
-    aggregate_path.write_text(
-        json.dumps(aggregate_summaries(summaries), indent=2, sort_keys=True) + "\n"
-    )
+    aggregate = aggregate_summaries(summaries)
+    with _replacing(aggregate_path) as fh:
+        fh.write(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     return {"traces": trace_paths, "summaries": summary_paths,
             "aggregate": aggregate_path}
 
@@ -609,7 +641,7 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence, out_path=None) 
     path = Path(out_path) if out_path is not None \
         else Path(config.out_dir) / f"sweep_{axis}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with _replacing(path) as fh:
         w = csv.writer(fh)
         w.writerow(SWEEP_HEADER)
         w.writerows(rows)
@@ -662,7 +694,7 @@ def analyze(trace_paths: Sequence, out_dir) -> list[Path]:
         tables = by_policy[policy]
         mean_curve = np.mean(np.stack([t.cum_regret for t in tables]), axis=0)
         path = out / f"regret_{policy}.csv"
-        with path.open("w", newline="") as fh:
+        with _replacing(path) as fh:
             w = csv.writer(fh)
             w.writerow(("round", "cum_regret"))
             for i, v in enumerate(mean_curve, start=1):
@@ -714,9 +746,11 @@ def train_reliability(config: ExperimentConfig, seed: int, out_dir=None) -> dict
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / f"reliability_{seed}.json"
-    model_path.write_text(model.to_json() + "\n")
+    with _replacing(model_path) as fh:
+        fh.write(model.to_json() + "\n")
     metrics_path = out / f"reliability_metrics_{seed}.json"
-    metrics_path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    with _replacing(metrics_path) as fh:
+        fh.write(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     return {"model": model_path, "metrics_file": metrics_path, "metrics": metrics}
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from exitbandit.cli import build_parser, main
+from exitbandit.harness import TRACE_HEADER
 from exitbandit.reliability import ReliabilityModel
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -95,6 +96,26 @@ class TestSimulate:
         assert not (tmp_path / "res").exists()
 
 
+class TestSeedOverrides:
+    @pytest.mark.parametrize("command", ["simulate", "train-reliability", "sweep"])
+    @pytest.mark.parametrize("seed_args", [
+        ["--seeds", "1,1"], ["--seeds", "2,-1"], ["--seed", "-3"],
+    ], ids=["repeated", "negative-in-list", "negative"])
+    def test_rejected_before_anything_is_written(self, capsys, tmp_path, command,
+                                                 seed_args):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), *seed_args, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "lambda", "--values", "0"]
+        assert main(argv) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert "seeds must be" in json.loads(err_lines[0])["error"]
+        assert not out.exists()
+        assert not (tmp_path / "res").exists()
+
+
 class TestTrainReliability:
     def test_trains_and_persists_model(self, capsys, tmp_path):
         cfg = write_config(tmp_path, num_rounds=100, reliability={"epochs": 40})
@@ -175,6 +196,19 @@ class TestAnalyze:
         assert main(["analyze", str(rogue), "--out", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert "trace_<policy>_<seed>" in payload["error"]
+
+    def test_trace_cut_mid_row_fails_cleanly(self, capsys, tmp_path):
+        trace = tmp_path / "trace_ucb_0.csv"
+        header = ",".join(TRACE_HEADER)
+        trace.write_text(f"{header}\n1,0.5,3,0.8,0.79,0.9,1,0\n6,0.77777\n")
+        out = tmp_path / "curves"
+        assert main(["analyze", str(trace), "--out", str(out)]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        error = json.loads(err_lines[0])["error"]
+        assert str(trace) in error
+        assert "line 3" in error
+        assert not out.exists()
 
 
 class TestBench:

@@ -407,6 +407,25 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("previous", [None, "kept\n"],
+                             ids=["absent", "present"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, previous):
+        # a regret curve cut at round 1000 of 2000 makes the write fail half way
+        cfg = parse_config(minimal(num_rounds=2000, policy="final"))
+        trace = run_single(cfg, seed=3).trace
+        trace.cum_regret = trace.cum_regret[:1000]
+        path = tmp_path / "trace_final_3.csv"
+        if previous is not None:
+            path.write_text(previous)
+        with pytest.raises(IndexError):
+            write_trace_csv(trace, path)
+        if previous is None:
+            assert not path.exists()
+        else:
+            assert path.read_text() == previous
+        # and no temp file is left beside it
+        assert sorted(tmp_path.iterdir()) == ([] if previous is None else [path])
+
     def test_read_rejects_empty_trace(self, tmp_path):
         path = tmp_path / "trace_ucb_0.csv"
         path.write_text(",".join(TRACE_HEADER) + "\n")

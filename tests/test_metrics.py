@@ -12,7 +12,6 @@ from exitbandit import (
     Criterion,
     GeneratorParams,
     RewardParams,
-    RewardVariant,
     ShiftSchedule,
     ThresholdGrid,
     arm_gaps,
