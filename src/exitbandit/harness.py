@@ -506,17 +506,19 @@ def read_trace_csv(path) -> TraceTable:
             [], [], [], [], [], [], [], []
         )
         for row in reader:
-            if len(row) != len(TRACE_HEADER):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
-                                 f"fields, expected {len(TRACE_HEADER)}")
-            rounds.append(int(row[0]))
-            arms.append(None if row[1] == FINAL_ARM_TOKEN else float(row[1]))
-            layers.append(int(row[2]))
-            scores.append(float(row[3]))
-            rewards.append(float(row[4]))
-            cps.append(float(row[5]))
-            correct.append(row[6] == "1")
-            cum.append(float(row[7]))
+            try:
+                if len(row) != len(TRACE_HEADER):
+                    raise ValueError(f"{len(row)} fields, expected {len(TRACE_HEADER)}")
+                rounds.append(int(row[0]))
+                arms.append(None if row[1] == FINAL_ARM_TOKEN else float(row[1]))
+                layers.append(int(row[2]))
+                scores.append(float(row[3]))
+                rewards.append(float(row[4]))
+                cps.append(float(row[5]))
+                correct.append(row[6] == "1")
+                cum.append(float(row[7]))
+            except ValueError as e:
+                raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     if not rounds:
         raise ValueError(f"{path}: trace has no rounds")
     return TraceTable(

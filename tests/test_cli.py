@@ -197,10 +197,12 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().err.strip())
         assert "trace_<policy>_<seed>" in payload["error"]
 
-    def test_trace_cut_mid_row_fails_cleanly(self, capsys, tmp_path):
+    @pytest.mark.parametrize("cut_row", ["6,0.77777", "6,0.5,3,0.8,0.79,0.9,1,"],
+                             ids=["short-row", "empty-field"])
+    def test_trace_cut_mid_row_fails_cleanly(self, capsys, tmp_path, cut_row):
         trace = tmp_path / "trace_ucb_0.csv"
         header = ",".join(TRACE_HEADER)
-        trace.write_text(f"{header}\n1,0.5,3,0.8,0.79,0.9,1,0\n6,0.77777\n")
+        trace.write_text(f"{header}\n1,0.5,3,0.8,0.79,0.9,1,0\n{cut_row}\n")
         out = tmp_path / "curves"
         assert main(["analyze", str(trace), "--out", str(out)]) == 1
         err_lines = capsys.readouterr().err.strip().splitlines()
