@@ -344,7 +344,11 @@ def run_many(
 
 
 class UcbPolicy:
-    """Adapter exposing BanditState through the runner's policy protocol."""
+    """Adapter exposing BanditState through the runner's policy protocol.
+
+    With a horizon, every round's index uses ln(horizon) instead of the log
+    of the current round number.
+    """
 
     name = "ucb"
 
@@ -352,17 +356,13 @@ class UcbPolicy:
         self,
         grid: ThresholdGrid,
         gamma: float = math.sqrt(2.0),
-        log_mode: str = "round",
         horizon: Optional[int] = None,
     ):
-        if log_mode not in ("round", "horizon"):
-            raise ValueError("log_mode must be 'round' or 'horizon'")
-        if log_mode == "horizon":
-            if horizon is None or horizon < 1:
-                raise ValueError("horizon mode needs a positive horizon")
+        if horizon is not None and horizon < 1:
+            raise ValueError("horizon must be >= 1")
         self.grid = grid
         self.state = BanditState(grid=grid, gamma=gamma)
-        self._log_of = float(horizon) if log_mode == "horizon" else None
+        self._log_of = None if horizon is None else float(horizon)
         self._last_index: Optional[int] = None
 
     def select(self, round_number: int) -> float:
@@ -382,7 +382,6 @@ def run(
     num_rounds: Optional[int] = None,
     *,
     criterion: Optional[Criterion] = None,
-    log_mode: str = "round",
     seed: Optional[int] = None,
 ) -> RunTrace:
     """Run the threshold-adaptation loop end to end over the stream.
@@ -398,10 +397,8 @@ def run(
             raise ValueError("num_rounds is required for unsized streams") from None
     elif hasattr(samples, "__len__") and num_rounds > len(samples):
         raise ValueError("num_rounds exceeds stream length")
-    horizon = num_rounds if log_mode == "horizon" else None
-    policy = UcbPolicy(grid, gamma=gamma, log_mode=log_mode, horizon=horizon)
     return run_policy(
-        policy,
+        UcbPolicy(grid, gamma=gamma),
         samples,
         params,
         criterion,

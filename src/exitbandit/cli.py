@@ -93,19 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        config.seeds = harness.parse_seeds([args.seed])
-    elif getattr(args, "seeds", None):
-        config.seeds = harness.parse_seeds(
-            [int(s) for s in args.seeds.split(",") if s.strip() != ""])
-    if getattr(args, "out", None):
-        config.out_dir = args.out
+def _load_config(args) -> harness.ExperimentConfig:
+    """The --config file with --seed/--seeds/--out applied, by the config's rules."""
+    changes: dict = {}
+    if args.seed is not None:
+        changes["seeds"] = [args.seed]
+    elif args.seeds is not None:
+        changes["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    if args.out is not None:
+        changes["out_dir"] = args.out
+    return harness.derive(harness.load_config(args.config), changes)
 
 
 def _cmd_simulate(args) -> int:
-    config = harness.load_config(args.config)
-    _apply_overrides(config, args)
+    config = _load_config(args)
     written = harness.run_experiment(config)
     for path in written["traces"] + written["summaries"]:
         print(path)
@@ -114,8 +115,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = harness.load_config(args.config)
-    _apply_overrides(config, args)
+    config = _load_config(args)
     seed = config.seeds[0]
     result = harness.train_reliability(config, seed)
     print(result["model"])
@@ -124,17 +124,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = harness.load_config(args.config)
-    _apply_overrides(config, args)
+    config = _load_config(args)
     raw = [v for v in args.values.split(",") if v.strip() != ""]
     if args.axis == "variant":
         values: list = [v.strip() for v in raw]
     else:
         values = [float(v) for v in raw]
-    out_path = None
-    if args.out:
-        out_path = f"{args.out}/sweep_{args.axis}.csv"
-    path = harness.sweep(config, args.axis, values, out_path)
+    path = harness.sweep(config, args.axis, values)
     print(path)
     return 0
 

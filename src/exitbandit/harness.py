@@ -18,6 +18,7 @@ Trace CSV header (floats printed with 9 significant digits):
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import dataclasses
 import json
@@ -25,12 +26,13 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import reliability as rel
 from .bandit import (
     BanditState,
     RewardParams,
@@ -187,29 +189,6 @@ def _parse_policy(payload, where: str) -> PolicySpec:
     raise ConfigError(f"{where} must be a string or object")
 
 
-@dataclass(frozen=True)
-class TrainingSettings:
-    """Reliability-trainer knobs carried by the config's optional section."""
-
-    epochs: int = 500
-    learning_rate: float = 0.1
-    sharpness: float = 50.0
-    holdout_fraction: float = 0.2
-
-    def __post_init__(self):
-        _integer(self.epochs, "reliability.epochs")
-        for name in ("learning_rate", "sharpness", "holdout_fraction"):
-            _number(getattr(self, name), f"reliability.{name}")
-        if self.epochs < 1:
-            raise ConfigError("reliability.epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("reliability.learning_rate must be positive")
-        if self.sharpness <= 0:
-            raise ConfigError("reliability.sharpness must be positive")
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise ConfigError("reliability.holdout_fraction must be in (0, 1)")
-
-
 _TOP_KEYS = (
     "generator", "schedule", "grid", "gamma", "epsilon", "lambda", "variant",
     "criterion", "policy", "num_rounds", "seeds", "out_dir", "log_mode",
@@ -217,9 +196,13 @@ _TOP_KEYS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see parse_config for the schema)."""
+    """Validated experiment description (see parse_config for the schema).
+
+    document is the JSON document it was parsed from; every variant of a
+    config is parsed again from an edited copy of it (see derive).
+    """
 
     schedule: ShiftSchedule
     grid: ThresholdGrid
@@ -231,10 +214,12 @@ class ExperimentConfig:
     policy: PolicySpec
     num_rounds: int
     seeds: tuple[int, ...]
-    out_dir: str = "results"
-    log_mode: str = "round"
-    calibration_tol: float = 0.1
-    training: TrainingSettings = TrainingSettings()
+    out_dir: str
+    log_mode: str
+    calibration_tol: float
+    training: rel.Hyperparams
+    holdout_fraction: float
+    document: dict = field(repr=False, compare=False)
 
     @property
     def num_layers(self) -> int:
@@ -256,12 +241,8 @@ class ExperimentConfig:
         return RewardParams(self.resolved_lambda, self.num_layers, self.variant)
 
 
-def parse_seeds(seeds) -> tuple[int, ...]:
-    """The seed rule: a non-empty list of distinct JSON integers >= 0.
-
-    The config's seeds and the CLI's --seed/--seeds overrides both go
-    through it, before anything is run or written.
-    """
+def _parse_seeds(seeds) -> tuple[int, ...]:
+    """The seed rule: a non-empty list of distinct JSON integers >= 0."""
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
     seeds = tuple(_integer(s, "seeds") for s in seeds)
@@ -329,7 +310,7 @@ def parse_config(payload: dict) -> ExperimentConfig:
         # the summary's regret bound needs ln(num_rounds) > 0
         raise ConfigError("num_rounds must be >= 2")
 
-    seeds = parse_seeds(payload.get("seeds", [0]))
+    seeds = _parse_seeds(payload.get("seeds", [0]))
 
     log_mode = payload.get("log_mode", "round")
     if log_mode not in ("round", "horizon"):
@@ -344,7 +325,18 @@ def parse_config(payload: dict) -> ExperimentConfig:
         raise ConfigError("reliability must be an object")
     _strict(training_payload, ("epochs", "learning_rate", "sharpness",
                                "holdout_fraction"), "reliability")
-    training = TrainingSettings(**training_payload)
+    holdout_fraction = _number(training_payload.get("holdout_fraction", 0.2),
+                               "reliability.holdout_fraction")
+    if not (0.0 < holdout_fraction < 1.0):
+        raise ConfigError("reliability.holdout_fraction must be in (0, 1)")
+    hyperparams = {
+        name: (_integer if name == "epochs" else _number)(value, f"reliability.{name}")
+        for name, value in training_payload.items() if name != "holdout_fraction"
+    }
+    try:
+        training = rel.Hyperparams(**hyperparams)
+    except ValueError as e:
+        raise ConfigError(f"invalid reliability: {e}") from e
 
     out_dir = payload.get("out_dir", "results")
     if not isinstance(out_dir, str) or not out_dir:
@@ -365,7 +357,18 @@ def parse_config(payload: dict) -> ExperimentConfig:
         log_mode=log_mode,
         calibration_tol=calibration_tol,
         training=training,
+        holdout_fraction=holdout_fraction,
+        document=copy.deepcopy(payload),
     )
+
+
+def derive(config: ExperimentConfig, changes: dict) -> ExperimentConfig:
+    """The config parsed from its document with top-level keys replaced.
+
+    Every variant of a config (CLI overrides, sweep values) is made here,
+    so it passes every rule parse_config applies to a config file.
+    """
+    return parse_config({**config.document, **changes})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -381,8 +384,7 @@ def _make_policy(config: ExperimentConfig, seed: int):
     spec = config.policy
     if spec.kind == "ucb":
         horizon = config.num_rounds if config.log_mode == "horizon" else None
-        return UcbPolicy(config.grid, gamma=config.gamma,
-                         log_mode=config.log_mode, horizon=horizon)
+        return UcbPolicy(config.grid, gamma=config.gamma, horizon=horizon)
     if spec.kind == "random":
         return RandomPolicy(config.grid, seed)
     if spec.kind == "final":
@@ -596,41 +598,28 @@ SWEEP_AXES = ("lambda", "epsilon", "tau", "variant")
 SWEEP_HEADER = ("axis", "value", "empirical_risk", "speedup", "cumulative_regret")
 
 
-def _config_for_sweep_value(config: ExperimentConfig, axis: str, value):
-    derived = dataclasses.replace(config)
-    if axis == "lambda":
-        derived.lam_spec = float(value)
-    elif axis == "epsilon":
-        if config.lam_spec != "auto":
-            raise ConfigError("epsilon sweep needs lambda='auto' so the "
-                              "penalty actually follows epsilon")
-        derived.epsilon = float(value)
-    elif axis == "tau":
-        if config.policy.kind != "fixed":
-            raise ConfigError("tau sweep needs a fixed policy")
-        derived.policy = PolicySpec("fixed", float(value))
-        if not (config.grid.values[0] <= derived.policy.tau <= config.grid.values[-1]):
-            raise ConfigError(f"tau {value} outside grid range")
-    elif axis == "variant":
-        try:
-            derived.variant = RewardVariant(value)
-        except ValueError:
-            raise ConfigError(f"unknown variant {value!r}") from None
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
-    return derived
-
-
 def sweep(config: ExperimentConfig, axis: str, values: Sequence, out_path=None) -> Path:
-    """One aggregate row per value along the axis, as a plot-ready CSV."""
+    """One aggregate row per value along the axis, as a plot-ready CSV.
+
+    Each value's config is derived (and so checked) before the first run.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if axis == "epsilon" and config.lam_spec != "auto":
+        raise ConfigError("epsilon sweep needs lambda='auto' so the "
+                          "penalty actually follows epsilon")
+    if axis == "tau" and config.policy.kind != "fixed":
+        raise ConfigError("tau sweep needs a fixed policy")
+    derived_configs = [
+        derive(config, {"policy": {"type": "fixed", "tau": v}} if axis == "tau"
+               else {axis: v})
+        for v in values
+    ]
     rows = []
-    for value in values:
-        derived = _config_for_sweep_value(config, axis, value)
+    for value, derived in zip(values, derived_configs):
         summaries = [run_single(derived, seed).summary for seed in derived.seeds]
         agg = aggregate_summaries(summaries)
         rows.append((
@@ -712,23 +701,15 @@ def train_reliability(config: ExperimentConfig, seed: int, out_dir=None) -> dict
     out of training and used for the AUC report. Writes the model JSON and a
     metrics JSON; returns their paths plus the metrics.
     """
-    from . import reliability as rel
-
-    settings = config.training
     samples = stream(config.schedule, config.num_rounds, seed)
-    split = int(round(len(samples) * (1.0 - settings.holdout_fraction)))
+    split = int(round(len(samples) * (1.0 - config.holdout_fraction)))
     if split < 1 or split >= len(samples):
         raise ConfigError("num_rounds too small for the holdout split")
     train_samples, held_out = samples[:split], samples[split:]
 
     targets = rel.compute_c_from_samples(train_samples)
     dataset = rel.dataset_from_samples(train_samples)
-    hp = rel.Hyperparams(
-        learning_rate=settings.learning_rate,
-        epochs=settings.epochs,
-        sharpness=settings.sharpness,
-    )
-    model = rel.train(dataset, targets, hp)
+    model = rel.train(dataset, targets, config.training)
 
     eval_set = rel.dataset_from_samples(held_out)
     scores = rel.batch_scores(model, eval_set)
@@ -736,8 +717,8 @@ def train_reliability(config: ExperimentConfig, seed: int, out_dir=None) -> dict
         "seed": seed,
         "train_samples": len(train_samples),
         "holdout_samples": len(held_out),
-        "epochs": settings.epochs,
-        "learning_rate": settings.learning_rate,
+        "epochs": config.training.epochs,
+        "learning_rate": config.training.learning_rate,
         "coverage": rel.coverage(model, dataset),
         "per_exit_coverage": [float(v) for v in rel.per_exit_coverage(model, dataset)],
         "coverage_targets": list(targets.c_per_exit),

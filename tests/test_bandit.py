@@ -197,15 +197,14 @@ class TestBanditState:
 
 
 class TestUcbPolicy:
-    def test_log_mode_validation(self):
-        with pytest.raises(ValueError):
-            UcbPolicy(default_grid(), log_mode="weird")
-        with pytest.raises(ValueError):
-            UcbPolicy(default_grid(), log_mode="horizon")
+    def test_horizon_validation(self):
+        for horizon in (0, -5):
+            with pytest.raises(ValueError, match="horizon"):
+                UcbPolicy(default_grid(), horizon=horizon)
 
     def test_horizon_mode_uses_fixed_log(self):
         grid = ThresholdGrid((0.4, 0.8))
-        pol = UcbPolicy(grid, gamma=1.0, log_mode="horizon", horizon=1000)
+        pol = UcbPolicy(grid, gamma=1.0, horizon=1000)
         pol.observe(pol.select(1), 0.55)
         pol.observe(pol.select(2), 0.5)
         state = pol.state

@@ -115,6 +115,20 @@ class TestSeedOverrides:
         assert not out.exists()
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train-reliability", "sweep"])
+    def test_empty_out_rejected_before_anything_is_written(self, capsys, tmp_path,
+                                                           monkeypatch, command):
+        cfg = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", str(cfg), "--out", ""]
+        if command == "sweep":
+            argv += ["--axis", "lambda", "--values", "0"]
+        assert main(argv) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert "out_dir" in json.loads(err_lines[0])["error"]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestTrainReliability:
     def test_trains_and_persists_model(self, capsys, tmp_path):

@@ -19,6 +19,7 @@ from exitbandit import (
     replay_arm,
     stream,
 )
+import exitbandit.harness as harness
 from exitbandit.harness import (
     FINAL_ARM_TOKEN,
     SWEEP_AXES,
@@ -208,7 +209,7 @@ class TestParseConfigValidation:
     def test_reliability_section(self):
         cfg = parse_config(minimal(reliability={"epochs": 10, "holdout_fraction": 0.5}))
         assert cfg.training.epochs == 10
-        assert cfg.training.holdout_fraction == 0.5
+        assert cfg.holdout_fraction == 0.5
         with pytest.raises(ConfigError, match="epochs"):
             parse_config(minimal(reliability={"epochs": 0}))
 
@@ -501,6 +502,31 @@ class TestSweep:
         cfg = parse_config(minimal())
         with pytest.raises(ConfigError, match="variant"):
             sweep(cfg, "variant", ["product", "bogus"], tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("axis, good, bad, match", [
+        ("lambda", 0.001, -1.0, "lambda"),
+        ("lambda", 0.001, math.nan, "lambda"),
+        ("epsilon", 0.05, 1.5, "epsilon"),
+        ("tau", 0.8, 1.5, "grid range"),
+        ("variant", "product", "bogus", "variant"),
+    ], ids=["negative-lambda", "nan-lambda", "epsilon-above-1", "tau-off-grid",
+            "unknown-variant"])
+    def test_bad_value_rejected_before_any_run(self, tmp_path, monkeypatch,
+                                               axis, good, bad, match):
+        runs = []
+        real_run_single = harness.run_single
+
+        def counting_run_single(*args, **kwargs):
+            runs.append(args)
+            return real_run_single(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_single", counting_run_single)
+        policy = {"type": "fixed", "tau": 0.6} if axis == "tau" else "ucb"
+        cfg = parse_config(minimal(policy=policy))
+        with pytest.raises(ConfigError, match=match):
+            sweep(cfg, axis, [good, bad], tmp_path / "s.csv")
+        assert runs == []
+        assert not (tmp_path / "s.csv").exists()
 
     def test_variant_sweep_rows(self, tmp_path):
         cfg = parse_config(minimal(num_rounds=200))
