@@ -284,6 +284,9 @@ def run_many(
         raise ValueError("no policies given")
     if labels is not None and len(labels) != len(policies):
         raise ValueError("labels and policies differ in length")
+    grids = [grid if grid is not None else getattr(p, "grid", None) for p in policies]
+    if any(g is None for g in grids):
+        raise ValueError("pass grid= for policies that do not carry one")
     num_layers = reward_params.num_layers
 
     k = len(policies)
@@ -322,9 +325,6 @@ def run_many(
     traces = []
     for j, policy in enumerate(policies):
         name = labels[j] if labels is not None else getattr(policy, "name", "policy")
-        run_grid = grid if grid is not None else getattr(policy, "grid", None)
-        if run_grid is None:
-            raise ValueError("pass grid= for policies that do not carry one")
         traces.append(RunTrace(
             policy=name,
             arms=arms[j],
@@ -334,7 +334,7 @@ def run_many(
             correct_probs=np.asarray(cps[j]),
             realized=np.asarray(realized[j], dtype=bool),
             reliabilities=np.asarray(reliab[j]),
-            grid=run_grid,
+            grid=grids[j],
             reward_params=reward_params,
             criterion=criterion,
             num_layers=num_layers,

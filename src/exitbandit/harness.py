@@ -499,6 +499,7 @@ class TraceTable:
 
 def read_trace_csv(path) -> TraceTable:
     path = Path(path)
+    isfinite = math.isfinite
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
@@ -511,14 +512,22 @@ def read_trace_csv(path) -> TraceTable:
             try:
                 if len(row) != len(TRACE_HEADER):
                     raise ValueError(f"{len(row)} fields, expected {len(TRACE_HEADER)}")
+                arm = None if row[1] == FINAL_ARM_TOKEN else float(row[1])
+                score, r, cp = float(row[3]), float(row[4]), float(row[5])
+                regret = float(row[7])
+                if not (isfinite(score) and isfinite(r) and isfinite(cp)
+                        and isfinite(regret) and (arm is None or isfinite(arm))):
+                    raise ValueError("fields must be finite numbers")
+                if row[6] not in ("0", "1"):
+                    raise ValueError(f"correct must be 0 or 1, got {row[6]!r}")
                 rounds.append(int(row[0]))
-                arms.append(None if row[1] == FINAL_ARM_TOKEN else float(row[1]))
+                arms.append(arm)
                 layers.append(int(row[2]))
-                scores.append(float(row[3]))
-                rewards.append(float(row[4]))
-                cps.append(float(row[5]))
+                scores.append(score)
+                rewards.append(r)
+                cps.append(cp)
                 correct.append(row[6] == "1")
-                cum.append(float(row[7]))
+                cum.append(regret)
             except ValueError as e:
                 raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     if not rounds:

@@ -427,6 +427,10 @@ def loss_interference_experiment(
     g_in = np.column_stack(
         (x_train.reshape(-1, 2), layer_index / num_layers, np.ones(len(layer_index)))
     )
+    # objective_gradient reads only the design rows and the cross-entropy
+    # column, which each joint epoch refills with the classifier's current loss
+    rows = Dataset(g_in, np.zeros(len(layer_index)), layer_index,
+                   np.zeros(len(layer_index), dtype=bool), num_layers)
     warmup = CoverageTargets((0.0,) * num_layers)
     targets = CoverageTargets((0.7,) * num_layers)
     eps = 1e-12
@@ -441,8 +445,7 @@ def loss_interference_experiment(
                 ce = -(y_train * np.log(np.maximum(p, eps))
                        + (1.0 - y_train) * np.log(np.maximum(1.0 - p, eps)))
                 scale = 1.0 + _sigmoid(g_in @ wg).reshape(num_layers, n_train)
-                rows = Dataset(g_in, ce.ravel(), layer_index,
-                               ((p > 0.5) == (y_train > 0.5)).ravel(), num_layers)
+                rows.cross_entropy = ce.ravel()
                 # the first epoch trains with zero coverage floors, as train does
                 _, grad_g = objective_gradient(
                     wg, rows, warmup if epoch == 0 else targets, sharpness)

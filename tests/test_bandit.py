@@ -11,6 +11,7 @@ from conftest import constant_stream, make_sample, two_layer_noisy_stream
 from exitbandit import (
     BanditState,
     Criterion,
+    FixedPolicy,
     RewardParams,
     RewardVariant,
     ThresholdGrid,
@@ -336,6 +337,15 @@ class TestRunMany:
                 grid=grid,
                 labels=["a", "b"],
             )
+
+    def test_missing_grid_rejected_before_the_stream_is_read(self):
+        def untouchable_stream():
+            raise AssertionError("the stream was advanced")
+            yield
+
+        with pytest.raises(ValueError, match="grid="):
+            run_many([FixedPolicy(0.9)], untouchable_stream(),
+                     RewardParams(lam=0.0, num_layers=2))
 
     def test_no_policies_rejected(self):
         with pytest.raises(ValueError, match="no policies"):
