@@ -1,6 +1,8 @@
-"""Golden SHA-256 digests of every file a small reference experiment writes.
+"""Golden SHA-256 digests of the sample stream and of every file a small
+reference experiment writes.
 
-Each config runs end to end (run_experiment, then analyze on its traces),
+The stream digests cover every field of every layer, so a change to the
+generator shows even where no exit decision reads it. Each config runs end to end (run_experiment, then analyze on its traces),
 and the trace, summary, aggregate and regret files must hash to the pinned
 values; the reliability trainer's model and metrics JSON are pinned the same
 way. The digests were recorded before the exit table and the column-wise
@@ -14,11 +16,13 @@ Re-pin (only when outputs change on purpose) by printing the current values:
 from __future__ import annotations
 
 import hashlib
+import struct
 import sys
 from pathlib import Path
 
 import pytest
 
+from exitbandit import GeneratorParams, ShiftSchedule, stream
 from exitbandit.harness import analyze, parse_config, run_experiment, train_reliability
 
 _GRID = {"size": 10, "low": 0.5, "high": 1.0}
@@ -47,6 +51,11 @@ CONFIGS = {
 
 RELIABILITY_CONFIG = {"generator": {}, "num_rounds": 300, "seeds": [11],
                       "reliability": {"epochs": 20}}
+
+GOLDEN_STREAMS = {
+    "default": "f6388bb56d4d1e31ab05f45cdd99061f27b7372d142bc37f52072e586414b46d",
+    "shift": "6dd807e4fc2d421817f46583905a870e2bae4d80508566281b45b2c2c80998d5",
+}
 
 GOLDEN = {
     "final": {
@@ -130,6 +139,30 @@ GOLDEN = {
 }
 
 
+def stream_samples(name: str) -> list:
+    """400 rounds of the default generator (seed 0) or of the shift schedule (seed 3)."""
+    if name == "default":
+        return stream(ShiftSchedule.constant(GeneratorParams()), 400, seed=0)
+    return stream(parse_config(CONFIGS["shift"]).schedule, 400, seed=3)
+
+
+def _layers(sample):
+    """(confidence, risk, correct_prob, realized, features) per layer, in order."""
+    for out in sample.per_layer:
+        yield (out.confidence, out.reliability_risk, out.correct_prob,
+               out.realized_correct, out.g_features)
+
+
+def stream_digest(samples) -> str:
+    """SHA-256 over every field of every layer, sample by sample, layer by layer."""
+    h = hashlib.sha256()
+    for sample in samples:
+        for conf, risk, cp, realized, features in _layers(sample):
+            h.update(struct.pack("<3d?", conf, risk, cp, realized))
+            h.update(struct.pack(f"<{len(features)}d", *features))
+    return h.hexdigest()
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -147,6 +180,11 @@ def reliability_digests(out: Path) -> dict:
     return {p.name: _sha256(p) for p in (result["model"], result["metrics_file"])}
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_stream_fields_match_golden_digests(name):
+    assert stream_digest(stream_samples(name)) == GOLDEN_STREAMS[name]
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_experiment_outputs_match_golden_digests(name, tmp_path):
     assert experiment_digests(name, tmp_path) == GOLDEN[name]
@@ -160,7 +198,7 @@ if __name__ == "__main__":
     import pprint
     import tempfile
 
-    current = {}
+    current = {"streams": {n: stream_digest(stream_samples(n)) for n in sorted(GOLDEN_STREAMS)}}
     for name in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             current[name] = experiment_digests(name, Path(tmp))
