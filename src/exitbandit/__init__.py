@@ -32,7 +32,6 @@ from .baselines import (
 )
 from .env import (
     GeneratorParams,
-    LayerOutcome,
     SampleOutcomes,
     ShiftSchedule,
     ThresholdGrid,

@@ -154,6 +154,9 @@ class BanditState:
             self.pull_counts = [1] * k
         if not self.observations:
             self.observations = [0] * k
+        for name in ("q_values", "pull_counts", "observations"):
+            if len(getattr(self, name)) != k:
+                raise ValueError(f"{name} needs one entry per grid arm ({k})")
 
     @property
     def q(self) -> dict[float, float]:
@@ -311,14 +314,13 @@ def run_many(
             layer, s = scan.exit(arm)
             r = exit_reward(s, layer, layer_cost)
             policy.observe(arm, r)
-            at_exit = sample.per_layer[layer - 1]
             arms[j].append(arm)
             exit_layers[j].append(layer)
             scores[j].append(s)
             rewards[j].append(r)
-            cps[j].append(at_exit.correct_prob)
-            realized[j].append(at_exit.realized_correct)
-            reliab[j].append(1.0 - at_exit.reliability_risk)
+            cps[j].append(sample.correct_prob[layer - 1])
+            realized[j].append(sample.realized_correct[layer - 1])
+            reliab[j].append(1.0 - sample.reliability_risk[layer - 1])
     if t == 0:
         raise ValueError("empty sample stream")
 

@@ -1,8 +1,9 @@
 """Domain types for the early-exit threshold environment.
 
-The environment is a stream of samples; each sample exposes one outcome per
-exit layer of a depth-L network. Threshold policies pick an exit threshold
-per round, and the outcome at the chosen exit layer determines the reward.
+The environment is a stream of samples; each sample holds one column per
+outcome field, with one entry per exit layer of a depth-L network. Threshold
+policies pick an exit threshold per round, and the outcomes at the chosen
+exit layer determine the reward.
 """
 
 from __future__ import annotations
@@ -108,56 +109,40 @@ class GeneratorParams:
 
 
 @dataclass(frozen=True, slots=True)
-class LayerOutcome:
-    """What the simulated network reports at one exit layer for one sample.
+class SampleOutcomes:
+    """What the simulated network reports for one sample, one column per field.
 
+    Every column holds one entry per exit layer; index i is layer i + 1.
     confidence is the max-class probability the model would report;
     reliability_risk is the scorer's estimate that the prediction is
     unreliable (the exit score multiplies confidence by 1 - reliability_risk);
     correct_prob is the true probability that the predicted label is right;
-    realized_correct is the Bernoulli(correct_prob) draw fixed at generation.
+    realized_correct is the Bernoulli(correct_prob) draw fixed at generation;
+    g_features is the reliability scorer's input, one tuple per layer.
     """
 
-    layer_index: int
-    confidence: float
-    reliability_risk: float
-    correct_prob: float
-    realized_correct: bool
-    g_features: tuple[float, ...]
+    confidence: tuple[float, ...]
+    reliability_risk: tuple[float, ...]
+    correct_prob: tuple[float, ...]
+    realized_correct: tuple[bool, ...]
+    g_features: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         # constructed in bulk by the generator; keep checks flat and cheap
-        if self.layer_index < 1:
-            raise ValueError("layer_index is 1-based")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence={self.confidence!r} outside [0, 1]")
-        if not 0.0 <= self.reliability_risk <= 1.0:
-            raise ValueError(f"reliability_risk={self.reliability_risk!r} outside [0, 1]")
-        if not 0.0 <= self.correct_prob <= 1.0:
-            raise ValueError(f"correct_prob={self.correct_prob!r} outside [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
-class SampleOutcomes:
-    """Per-layer outcomes of one sample, ordered layer 1..L."""
-
-    per_layer: tuple[LayerOutcome, ...]
-
-    def __post_init__(self):
-        if len(self.per_layer) < 2:
+        num_layers = len(self.confidence)
+        if num_layers < 2:
             raise ValueError("a sample needs at least 2 layers")
-        for i, out in enumerate(self.per_layer, start=1):
-            if out.layer_index != i:
-                raise ValueError("per_layer must be ordered 1..L without gaps")
+        if not (len(self.reliability_risk) == len(self.correct_prob)
+                == len(self.realized_correct) == len(self.g_features) == num_layers):
+            raise ValueError("per-layer columns differ in length")
+        for name in ("confidence", "reliability_risk", "correct_prob"):
+            for value in getattr(self, name):
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{name}={value!r} outside [0, 1]")
 
     @property
     def num_layers(self) -> int:
-        return len(self.per_layer)
-
-    @property
-    def final_label_correct_prob(self) -> float:
-        """correct_prob at the deepest layer."""
-        return self.per_layer[-1].correct_prob
+        return len(self.confidence)
 
 
 @dataclass(frozen=True)

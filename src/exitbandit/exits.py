@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,16 +39,16 @@ class ExitDecision:
     early: bool
 
 
-def _product_score(outcome):
-    return outcome.confidence * (1.0 - outcome.reliability_risk)
+def _product_score(confidence, reliability_risk):
+    return confidence * (1.0 - reliability_risk)
 
 
-def _confidence_score(outcome):
-    return outcome.confidence
+def _confidence_score(confidence, reliability_risk):
+    return confidence
 
 
-def _reliability_score(outcome):
-    return 1.0 - outcome.reliability_risk
+def _reliability_score(confidence, reliability_risk):
+    return 1.0 - reliability_risk
 
 
 # plain arithmetic, so the same scorers also work elementwise on arrays
@@ -74,9 +71,9 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold {threshold!r} outside (0, 1]")
 
 
-def layer_score(outcome, criterion: Criterion) -> float:
-    """Exit score of a single layer outcome under the given criterion."""
-    return _scorer(criterion)(outcome)
+def layer_score(confidence, reliability_risk, criterion: Criterion):
+    """Exit score of one layer (or, elementwise, of arrays) under the criterion."""
+    return _scorer(criterion)(confidence, reliability_risk)
 
 
 def decide(
@@ -89,13 +86,13 @@ def decide(
     """
     _check_threshold(threshold)
     score = _scorer(criterion)
-    per_layer = sample.per_layer
-    last = len(per_layer) - 1
+    conf, risk = sample.confidence, sample.reliability_risk
+    last = len(conf) - 1
     for pos in range(last):
-        s = score(per_layer[pos])
+        s = score(conf[pos], risk[pos])
         if s >= threshold:
             return ExitDecision(pos + 1, s, True)
-    return ExitDecision(last + 1, score(per_layer[last]), False)
+    return ExitDecision(last + 1, score(conf[last], risk[last]), False)
 
 
 class ExitScan:
@@ -108,10 +105,11 @@ class ExitScan:
     score_at_exit); threshold None exits at the final layer.
     """
 
-    __slots__ = ("_per_layer", "_score", "_scores", "_prefix_max", "_final")
+    __slots__ = ("_conf", "_risk", "_score", "_scores", "_prefix_max", "_final")
 
     def __init__(self, sample: SampleOutcomes, criterion: Criterion = Criterion.PRODUCT):
-        self._per_layer = sample.per_layer
+        self._conf = sample.confidence
+        self._risk = sample.reliability_risk
         self._score = _scorer(criterion)
         self._scores: list[float] = []
         self._prefix_max: list[float] = []
@@ -124,10 +122,10 @@ class ExitScan:
             if prefix_max and prefix_max[-1] >= threshold:
                 pos = bisect.bisect_left(prefix_max, threshold)
                 return pos + 1, self._scores[pos]
-            per_layer, score, scores = self._per_layer, self._score, self._scores
+            conf, risk, score, scores = self._conf, self._risk, self._score, self._scores
             best = prefix_max[-1] if prefix_max else -math.inf
-            for pos in range(len(scores), len(per_layer) - 1):
-                s = score(per_layer[pos])
+            for pos in range(len(scores), len(conf) - 1):
+                s = score(conf[pos], risk[pos])
                 scores.append(s)
                 if s > best:
                     best = s
@@ -135,8 +133,8 @@ class ExitScan:
                 if s >= threshold:
                     return pos + 1, s
         if self._final is None:
-            self._final = self._score(self._per_layer[-1])
-        return len(self._per_layer), self._final
+            self._final = self._score(self._conf[-1], self._risk[-1])
+        return len(self._conf), self._final
 
 
 _BLOCK_ROWS = 256
@@ -159,22 +157,17 @@ def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
         raise ValueError("empty sample stream")
     if num_layers is None:
         num_layers = samples[0].num_layers
-    if any(len(s.per_layer) != num_layers for s in samples):
+    if any(s.num_layers != num_layers for s in samples):
         raise ValueError("stream depth does not match num_layers")
-
-    def column(block, name: str) -> np.ndarray:
-        outcomes = itertools.chain.from_iterable(s.per_layer for s in block)
-        return np.fromiter(map(operator.attrgetter(name), outcomes), dtype=np.float64,
-                           count=len(block) * num_layers).reshape(len(block), num_layers)
 
     # scored in row blocks so the temporaries stay small next to the table
     table = np.empty((len(samples), num_layers))
     for start in range(0, len(samples), _BLOCK_ROWS):
         block = samples[start:start + _BLOCK_ROWS]
-        table[start:start + len(block)] = score(SimpleNamespace(
-            confidence=column(block, "confidence"),
-            reliability_risk=column(block, "reliability_risk"),
-        ))
+        table[start:start + len(block)] = score(
+            np.array([s.confidence for s in block], dtype=np.float64),
+            np.array([s.reliability_risk for s in block], dtype=np.float64),
+        )
     running_max = table[:, :-1]
     np.maximum.accumulate(running_max, axis=1, out=running_max)
     rows = np.arange(len(samples))

@@ -520,7 +520,10 @@ def read_trace_csv(path) -> TraceTable:
                     raise ValueError("fields must be finite numbers")
                 if row[6] not in ("0", "1"):
                     raise ValueError(f"correct must be 0 or 1, got {row[6]!r}")
-                rounds.append(int(row[0]))
+                t = int(row[0])
+                if t != len(rounds) + 1:
+                    raise ValueError(f"round {t} out of order, expected {len(rounds) + 1}")
+                rounds.append(t)
                 arms.append(arm)
                 layers.append(int(row[2]))
                 scores.append(score)

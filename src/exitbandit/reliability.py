@@ -151,24 +151,22 @@ def dataset_from_samples(samples: Sequence[SampleOutcomes]) -> Dataset:
     if len(samples) == 0:
         raise ValueError("no samples")
     num_layers = samples[0].num_layers
-    rows = []
-    ce = []
-    layer = []
-    correct = []
-    for s in samples:
-        if s.num_layers != num_layers:
-            raise ValueError("mixed num_layers in sample batch")
-        for out in s.per_layer:
-            rows.append((*out.g_features, out.layer_index / num_layers, 1.0))
-            p = min(max(out.correct_prob, CE_FLOOR), 1.0 - CE_FLOOR)
-            ce.append(-math.log(p) if out.realized_correct else -math.log(1.0 - p))
-            layer.append(out.layer_index)
-            correct.append(out.realized_correct)
+    if any(s.num_layers != num_layers for s in samples):
+        raise ValueError("mixed num_layers in sample batch")
+    features = np.array([s.g_features for s in samples], dtype=np.float64)
+    features = features.reshape(-1, features.shape[-1])
+    layer_index = np.tile(np.arange(1, num_layers + 1), len(samples))
+    correct = np.array([s.realized_correct for s in samples], dtype=bool).ravel()
+    p = np.clip(np.array([s.correct_prob for s in samples], dtype=np.float64).ravel(),
+                CE_FLOOR, 1.0 - CE_FLOOR)
+    # math.log per element: numpy's log may differ in the last ulp
+    ce = [-math.log(q) if hit else -math.log(1.0 - q)
+          for q, hit in zip(p.tolist(), correct.tolist())]
     return Dataset(
-        inputs=np.asarray(rows, dtype=np.float64),
+        inputs=np.column_stack((features, layer_index / num_layers, np.ones(len(p)))),
         cross_entropy=np.asarray(ce, dtype=np.float64),
-        layer_index=np.asarray(layer, dtype=np.int64),
-        correct=np.asarray(correct, dtype=bool),
+        layer_index=layer_index,
+        correct=correct,
         num_layers=num_layers,
     )
 
@@ -242,8 +240,7 @@ def compute_c(validation: Sequence[Sequence[bool]]) -> CoverageTargets:
 
 
 def compute_c_from_samples(samples: Sequence[SampleOutcomes]) -> CoverageTargets:
-    flags = [[out.realized_correct for out in s.per_layer] for s in samples]
-    return compute_c(flags)
+    return compute_c([s.realized_correct for s in samples])
 
 
 def objective(
@@ -367,14 +364,9 @@ def rescore_sample(model: ReliabilityModel, sample: SampleOutcomes) -> SampleOut
     """
     if sample.num_layers != model.num_layers:
         raise ValueError("model depth does not match sample depth")
-    rescored = tuple(
-        replace(
-            out,
-            reliability_risk=1.0 - score(model, out.g_features, out.layer_index),
-        )
-        for out in sample.per_layer
-    )
-    return SampleOutcomes(rescored)
+    risk = tuple(1.0 - score(model, features, i)
+                 for i, features in enumerate(sample.g_features, start=1))
+    return replace(sample, reliability_risk=risk)
 
 
 def rescore_stream(

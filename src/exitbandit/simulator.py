@@ -32,13 +32,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .env import (
-    GeneratorParams,
-    LayerOutcome,
-    SampleOutcomes,
-    ShiftSchedule,
-    active_params,
-)
+from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params
 
 # corrupted layers get confidence in [0.7, 0.95] and correct_prob in [0.05, 0.25]
 _CORRUPT_CONF_LO = 0.7
@@ -89,7 +83,7 @@ def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> Sample
         corrupt_conf = float(rng.uniform(_CORRUPT_CONF_LO, _CORRUPT_CONF_HI))
         corrupt_cp = float(rng.uniform(_CORRUPT_PROB_LO, _CORRUPT_PROB_HI))
 
-    layers = []
+    layers = []  # one (conf, risk, cp, realized, features) row per layer
     for i in range(1, L + 1):
         if i == corrupt_idx:
             conf, cp, realized = corrupt_conf, corrupt_cp, False
@@ -99,9 +93,8 @@ def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> Sample
             direction = 1.0 if realized else -1.0
             conf = _clamp01(cp * direction + conf_noise[i - 1])
         feat = cp * rs + feat_noise[i - 1]
-        layers.append(LayerOutcome(i, conf, 1.0 - _clamp01(feat), cp, realized,
-                                   (conf, i / L, feat)))
-    return SampleOutcomes(tuple(layers))
+        layers.append((conf, 1.0 - _clamp01(feat), cp, realized, (conf, i / L, feat)))
+    return SampleOutcomes(*zip(*layers))
 
 
 def round_rng(stream_seed: int, params_seed: int, round_index: int) -> np.random.Generator:

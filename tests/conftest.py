@@ -6,7 +6,6 @@ import numpy as np
 
 from exitbandit import (
     Criterion,
-    LayerOutcome,
     RewardParams,
     RewardVariant,
     RunTrace,
@@ -26,18 +25,14 @@ def make_sample(scores, cps=None, realized=None):
         cps = [1.0] * L
     if realized is None:
         realized = [True] * L
-    layers = tuple(
-        LayerOutcome(
-            layer_index=i,
-            confidence=float(s),
-            reliability_risk=0.0,
-            correct_prob=float(c),
-            realized_correct=bool(r),
-            g_features=(float(s), i / L, float(c)),
-        )
-        for i, (s, c, r) in enumerate(zip(scores, cps, realized), start=1)
+    return SampleOutcomes(
+        confidence=tuple(float(s) for s in scores),
+        reliability_risk=(0.0,) * L,
+        correct_prob=tuple(float(c) for c in cps),
+        realized_correct=tuple(bool(r) for r in realized),
+        g_features=tuple((float(s), i / L, float(c))
+                         for i, (s, c) in enumerate(zip(scores, cps), start=1)),
     )
-    return SampleOutcomes(layers)
 
 
 def constant_stream(scores, num_rounds, **kwargs):
@@ -51,15 +46,10 @@ def two_layer_noisy_stream(num_rounds, seed, lo1=0.55, hi1=0.95, lo2=0.45, hi2=0
     rng = np.random.default_rng(seed)
     c1 = rng.uniform(lo1, hi1, num_rounds)
     c2 = rng.uniform(lo2, hi2, num_rounds)
-    out = []
-    for i in range(num_rounds):
-        out.append(
-            SampleOutcomes((
-                LayerOutcome(1, float(c1[i]), 0.0, 1.0, True, (float(c1[i]), 0.5, 1.0)),
-                LayerOutcome(2, float(c2[i]), 0.0, 1.0, True, (float(c2[i]), 1.0, 1.0)),
-            ))
-        )
-    return out
+    return [
+        SampleOutcomes((a, b), (0.0, 0.0), (1.0, 1.0), (True, True), ((a, 0.5, 1.0), (b, 1.0, 1.0)))
+        for a, b in zip(c1.tolist(), c2.tolist())
+    ]
 
 
 def make_trace(

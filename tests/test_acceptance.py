@@ -11,7 +11,6 @@ import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -357,8 +356,7 @@ def test_criterion_09_numeric_exactness(capsys):
     # joint-score fusion, through the exit rule's own product scorer, is the
     # exact product of confidence and correctness (1 - reliability risk)
     def fused(conf, corr):
-        outcome = SimpleNamespace(confidence=conf, reliability_risk=1.0 - corr)
-        return layer_score(outcome, Criterion.PRODUCT)
+        return layer_score(conf, 1.0 - corr, Criterion.PRODUCT)
 
     cs = np.linspace(0.0, 1.0, 21)
     lemma_ok = float(np.max(np.abs(fused(cs[:, None], cs) - np.outer(cs, cs)))) <= 1e-12
@@ -394,8 +392,7 @@ def test_criterion_09_numeric_exactness(capsys):
     ]
     exit_ok = True
     for s in samples:
-        scores = np.array([o.confidence * (1.0 - o.reliability_risk)
-                           for o in s.per_layer])
+        scores = np.array(s.confidence) * (1.0 - np.array(s.reliability_risk))
         L = s.num_layers
         for tau in G.values:
             hits = np.flatnonzero(scores[:-1] >= tau)

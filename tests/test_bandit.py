@@ -123,6 +123,13 @@ class TestBanditState:
         with pytest.raises(ValueError, match="gamma"):
             BanditState(grid=default_grid(), gamma=0.5)
 
+    @pytest.mark.parametrize("field", ["q_values", "pull_counts", "observations"])
+    def test_lists_must_cover_the_grid(self, field):
+        grid = ThresholdGrid((0.25, 0.5, 0.75))
+        for wrong in ([1], [1, 1, 1, 1]):
+            with pytest.raises(ValueError, match=field):
+                BanditState(grid=grid, **{field: wrong})
+
     def test_round_robin_initialization(self):
         grid = default_grid()
         state = BanditState(grid=grid)

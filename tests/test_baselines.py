@@ -99,7 +99,7 @@ class TestFinalLayerPolicy:
         trace = run_policy(
             FinalLayerPolicy(), part, DEFAULT_PARAMS, grid=default_grid(),
         )
-        expected = 1.0 - np.mean([s.final_label_correct_prob for s in part])
+        expected = 1.0 - np.mean([s.correct_prob[-1] for s in part])
         assert empirical_risk(trace)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_exit_histogram_concentrates_on_final(self, default_stream):

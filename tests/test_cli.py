@@ -212,11 +212,12 @@ class TestAnalyze:
         assert "trace_<policy>_<seed>" in payload["error"]
 
     @pytest.mark.parametrize("cut_row", [
-        "6,0.77777", "6,0.5,3,0.8,0.79,0.9,1,", "6,0.5,3,0.8,0.79,0.9,1,nan",
-        "6,0.5,3,inf,0.79,0.9,1,0", "6,nan,3,0.8,0.79,0.9,1,0",
-        "6,0.5,3,0.8,0.79,0.9,2,0", "6,0.5,3,0.8,0.79,0.9,true,0",
+        "2,0.77777", "2,0.5,3,0.8,0.79,0.9,1,", "2,0.5,3,0.8,0.79,0.9,1,nan",
+        "2,0.5,3,inf,0.79,0.9,1,0", "2,nan,3,0.8,0.79,0.9,1,0",
+        "2,0.5,3,0.8,0.79,0.9,2,0", "2,0.5,3,0.8,0.79,0.9,true,0",
+        "1,0.5,3,0.8,0.79,0.9,1,0", "3,0.5,3,0.8,0.79,0.9,1,0",
     ], ids=["short-row", "empty-field", "nan-regret", "inf-score", "nan-arm",
-            "correct-2", "correct-word"])
+            "correct-2", "correct-word", "round-repeated", "round-skipped"])
     def test_trace_cut_mid_row_fails_cleanly(self, capsys, tmp_path, cut_row):
         trace = tmp_path / "trace_ucb_0.csv"
         header = ",".join(TRACE_HEADER)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from exitbandit import GeneratorParams, ShiftSchedule, ThresholdGrid, active_params, default_grid
+from conftest import make_sample
+from exitbandit import (
+    GeneratorParams,
+    SampleOutcomes,
+    ShiftSchedule,
+    ThresholdGrid,
+    active_params,
+    default_grid,
+)
 
 
 class TestDefaultGrid:
@@ -76,6 +84,34 @@ class TestGeneratorParams:
         p = GeneratorParams()
         with pytest.raises(Exception):
             p.num_layers = 6
+
+
+class TestSampleOutcomes:
+    def columns(self, **overrides):
+        sample = make_sample([0.5, 0.9], cps=[0.7, 0.8])
+        columns = {name: getattr(sample, name) for name in (
+            "confidence", "reliability_risk", "correct_prob", "realized_correct", "g_features")}
+        return {**columns, **overrides}
+
+    def test_fewer_than_two_layers_rejected(self):
+        one = {name: column[:1] for name, column in self.columns().items()}
+        with pytest.raises(ValueError, match="at least 2 layers"):
+            SampleOutcomes(**one)
+
+    @pytest.mark.parametrize("name", ["reliability_risk", "correct_prob",
+                                      "realized_correct", "g_features"])
+    def test_unequal_columns_rejected(self, name):
+        columns = self.columns()
+        with pytest.raises(ValueError, match="differ in length"):
+            SampleOutcomes(**{**columns, name: columns[name][:1]})
+        with pytest.raises(ValueError, match="differ in length"):
+            SampleOutcomes(**{**columns, name: columns[name] * 2})
+
+    @pytest.mark.parametrize("name", ["confidence", "reliability_risk", "correct_prob"])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
+    def test_out_of_unit_interval_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name}=.* outside \\[0, 1\\]"):
+            SampleOutcomes(**self.columns(**{name: (0.5, bad)}))
 
 
 class TestShiftSchedule:

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_sample
 from exitbandit import (
     Criterion,
     ExitDecision,
     GeneratorParams,
-    LayerOutcome,
     RewardParams,
     RewardVariant,
     SampleOutcomes,
@@ -48,13 +48,13 @@ def samples_of_depth(draw, num_layers, min_size=1, max_size=12):
     rounds = draw(st.integers(min_value=min_size, max_value=max_size))
     out = []
     for _ in range(rounds):
-        layers = []
+        layers = []  # one (conf, risk, cp, realized, features) row per layer
         for i in range(1, num_layers + 1):
             conf, risk = draw(CONFIDENCES), draw(RISKS)
             cp = draw(st.floats(min_value=0.0, max_value=1.0))
-            layers.append(LayerOutcome(i, conf, risk, cp, draw(st.booleans()),
-                                       (conf, i / num_layers, 1.0 - risk)))
-        out.append(SampleOutcomes(tuple(layers)))
+            layers.append((conf, risk, cp, draw(st.booleans()),
+                           (conf, i / num_layers, 1.0 - risk)))
+        out.append(SampleOutcomes(*zip(*layers)))
     return out
 
 
@@ -88,9 +88,8 @@ class ScriptedPolicy:
 def reference_decision(sample, arm, criterion):
     """decide for a threshold; a None arm exits at the final layer."""
     if arm is None:
-        last = sample.per_layer[-1]
-        s = layer_score(last, criterion)
-        return ExitDecision(last.layer_index, s, False)
+        s = layer_score(sample.confidence[-1], sample.reliability_risk[-1], criterion)
+        return ExitDecision(sample.num_layers, s, False)
     return decide(sample, arm, criterion)
 
 
@@ -113,18 +112,15 @@ class TestExitScan:
 
     def test_each_layer_scored_at_most_once(self):
         calls = []
-        sample = SampleOutcomes(tuple(
-            LayerOutcome(i, c, 0.0, 1.0, True, (c,)) for i, c in
-            enumerate((0.2, 0.55, 0.7, 0.95, 0.4), start=1)))
-        scan = ExitScan(sample)
-        scan._score = lambda o: calls.append(o.layer_index) or o.confidence
+        confidences = (0.2, 0.55, 0.7, 0.95, 0.4)
+        scan = ExitScan(make_sample(confidences))
+        scan._score = lambda conf, risk: calls.append(conf) or conf
         for tau in (0.5, 0.9, 0.6, 1.0, None, 0.25, 1.0, None):
             scan.exit(tau)
-        assert sorted(calls) == [1, 2, 3, 4, 5]
+        assert sorted(calls) == sorted(confidences)
 
     def test_out_of_range_threshold_raises_like_decide(self):
-        sample = SampleOutcomes(tuple(
-            LayerOutcome(i, 0.9, 0.0, 1.0, True, (0.9,)) for i in (1, 2)))
+        sample = make_sample([0.9, 0.9])
         scan = ExitScan(sample)
         scan.exit(0.5)  # the prefix max (0.9) now clears anything up to 0.9
         for bad in (0.0, -0.2, 1.5):
@@ -134,10 +130,8 @@ class TestExitScan:
                 scan.exit(bad)
 
     def test_unknown_criterion_rejected(self):
-        sample = SampleOutcomes(tuple(
-            LayerOutcome(i, 0.9, 0.0, 1.0, True, (0.9,)) for i in (1, 2)))
         with pytest.raises(ValueError, match="criterion"):
-            ExitScan(sample, "product")
+            ExitScan(make_sample([0.9, 0.9]), "product")
 
 
 class TestRunManyMatchesDecide:
@@ -152,16 +146,17 @@ class TestRunManyMatchesDecide:
         for policy, trace in zip(policies, traces):
             decisions = [reference_decision(s, arm, criterion)
                          for s, arm in zip(samples, policy.arms)]
-            at_exit = [s.per_layer[d.exit_layer - 1] for s, d in zip(samples, decisions)]
+            at_exit = [(s, d.exit_layer - 1) for s, d in zip(samples, decisions)]
             expected_rewards = [reward(d, params) for d in decisions]
             assert trace.arms == policy.arms
             assert trace.exit_layers.tolist() == [d.exit_layer for d in decisions]
             assert trace.scores.tolist() == [d.score_at_exit for d in decisions]
             assert trace.rewards.tolist() == expected_rewards
             assert policy.observed == list(zip(policy.arms, expected_rewards))
-            assert trace.correct_probs.tolist() == [o.correct_prob for o in at_exit]
-            assert trace.realized.tolist() == [o.realized_correct for o in at_exit]
-            assert trace.reliabilities.tolist() == [1.0 - o.reliability_risk for o in at_exit]
+            assert trace.correct_probs.tolist() == [s.correct_prob[i] for s, i in at_exit]
+            assert trace.realized.tolist() == [s.realized_correct[i] for s, i in at_exit]
+            assert trace.reliabilities.tolist() == [1.0 - s.reliability_risk[i]
+                                                    for s, i in at_exit]
 
 
 class TestOracleMatchesReplay:
@@ -227,7 +222,10 @@ def test_generated_outcomes_hold_plain_floats():
     # overconfidence_rate=1 corrupts one shallow layer of every sample
     params = GeneratorParams(num_layers=6, overconfidence_rate=1.0, seed=3)
     for sample in stream(ShiftSchedule.constant(params), 50, seed=7):
-        for out in sample.per_layer:
-            values = (out.confidence, out.reliability_risk, out.correct_prob, *out.g_features)
-            assert all(type(v) is float for v in values)
-            assert type(out.realized_correct) is bool
+        columns = (sample.confidence, sample.reliability_risk, sample.correct_prob,
+                   sample.realized_correct, sample.g_features, *sample.g_features)
+        assert all(type(column) is tuple for column in columns)
+        for column in (sample.confidence, sample.reliability_risk, sample.correct_prob,
+                       *sample.g_features):
+            assert all(type(v) is float for v in column)
+        assert all(type(v) is bool for v in sample.realized_correct)

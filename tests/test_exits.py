@@ -6,37 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample
-from exitbandit import Criterion, LayerOutcome, decide, exit_distribution, exits, layer_score
+from exitbandit import Criterion, SampleOutcomes, decide, exit_distribution, exits, layer_score
 
 
 @pytest.fixture
-def scored_layers(monkeypatch):
-    """Layer indices the product scorer is called on, in call order."""
+def scored_confidences(monkeypatch):
+    """Confidences the product scorer is called on, in call order."""
     calls = []
     monkeypatch.setitem(exits._SCORERS, Criterion.PRODUCT,
-                        lambda o: calls.append(o.layer_index) or o.confidence)
+                        lambda conf, risk: calls.append(conf) or conf)
     return calls
 
 
 class TestLayerScore:
-    def setup_method(self):
-        self.out = LayerOutcome(
-            layer_index=2,
-            confidence=0.8,
-            reliability_risk=0.25,
-            correct_prob=0.9,
-            realized_correct=True,
-            g_features=(0.8, 0.5, 0.9),
-        )
-
     def test_product(self):
-        assert layer_score(self.out, Criterion.PRODUCT) == pytest.approx(0.8 * 0.75)
+        assert layer_score(0.8, 0.25, Criterion.PRODUCT) == pytest.approx(0.8 * 0.75)
 
     def test_confidence(self):
-        assert layer_score(self.out, Criterion.CONFIDENCE) == 0.8
+        assert layer_score(0.8, 0.25, Criterion.CONFIDENCE) == 0.8
 
     def test_reliability(self):
-        assert layer_score(self.out, Criterion.RELIABILITY) == 0.75
+        assert layer_score(0.8, 0.25, Criterion.RELIABILITY) == 0.75
 
 
 class TestDecide:
@@ -66,14 +56,14 @@ class TestDecide:
         d = decide(make_sample([0.7, 0.9]), 0.7)
         assert d.exit_layer == 1
 
-    def test_layers_past_exit_never_scored(self, scored_layers):
+    def test_layers_past_exit_never_scored(self, scored_confidences):
         d = decide(make_sample([0.2, 0.8, 0.6, 0.6]), 0.75)
         assert d.exit_layer == 2
-        assert scored_layers == [1, 2]
+        assert scored_confidences == [0.2, 0.8]
 
-    def test_final_layer_scored_even_without_crossing(self, scored_layers):
+    def test_final_layer_scored_even_without_crossing(self, scored_confidences):
         d = decide(make_sample([0.1, 0.2]), 0.9)
-        assert scored_layers == [1, 2]
+        assert scored_confidences == [0.1, 0.2]
         assert d.score_at_exit == 0.2
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1])
@@ -83,12 +73,8 @@ class TestDecide:
 
     def test_criterion_changes_the_exit(self):
         # confident but risky first layer: confidence clears 0.6, product does not
-        from exitbandit import SampleOutcomes
-
-        sample = SampleOutcomes((
-            LayerOutcome(1, 0.9, 0.5, 0.8, True, (0.9, 0.5, 0.8)),
-            LayerOutcome(2, 0.5, 0.0, 0.9, True, (0.5, 1.0, 0.9)),
-        ))
+        sample = SampleOutcomes((0.9, 0.5), (0.5, 0.0), (0.8, 0.9), (True, True),
+                                ((0.9, 0.5, 0.8), (0.5, 1.0, 0.9)))
         assert decide(sample, 0.6, Criterion.CONFIDENCE).exit_layer == 1
         assert decide(sample, 0.6, Criterion.PRODUCT).exit_layer == 2
 

@@ -148,9 +148,8 @@ def stream_samples(name: str) -> list:
 
 def _layers(sample):
     """(confidence, risk, correct_prob, realized, features) per layer, in order."""
-    for out in sample.per_layer:
-        yield (out.confidence, out.reliability_risk, out.correct_prob,
-               out.realized_correct, out.g_features)
+    return zip(sample.confidence, sample.reliability_risk, sample.correct_prob,
+               sample.realized_correct, sample.g_features)
 
 
 def stream_digest(samples) -> str:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 import tempfile
 
@@ -426,6 +427,13 @@ class TestTraceCsv:
             assert path.read_text() == previous
         # and no temp file is left beside it
         assert sorted(tmp_path.iterdir()) == ([] if previous is None else [path])
+
+    def test_read_rejects_rounds_out_of_order(self, tmp_path):
+        path = tmp_path / "trace_ucb_0.csv"
+        row = "0.5,3,0.8,0.79,0.9,1,0"
+        path.write_text(f"{','.join(TRACE_HEADER)}\n2,{row}\n2,{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: round 2 out of order")):
+            read_trace_csv(path)
 
     def test_read_rejects_empty_trace(self, tmp_path):
         path = tmp_path / "trace_ucb_0.csv"

@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,8 +260,7 @@ class TestDelta1Hat:
 
 def joint_score(confidence, correctness):
     # the product exit criterion, with correctness as 1 - reliability risk
-    outcome = SimpleNamespace(confidence=confidence, reliability_risk=1.0 - correctness)
-    return layer_score(outcome, Criterion.PRODUCT)
+    return layer_score(confidence, 1.0 - correctness, Criterion.PRODUCT)
 
 
 class TestLemma1Check:

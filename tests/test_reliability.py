@@ -9,7 +9,6 @@ import pytest
 from conftest import make_sample
 from exitbandit import (
     GeneratorParams,
-    LayerOutcome,
     SampleOutcomes,
     ShiftSchedule,
     auc_score,
@@ -25,6 +24,7 @@ from exitbandit import (
     train,
 )
 from exitbandit.reliability import (
+    CE_FLOOR,
     CoverageTargets,
     Dataset,
     Hyperparams,
@@ -233,9 +233,7 @@ class TestCoverageTargets:
     def test_compute_c_from_samples_consistency(self):
         samples = stream(ShiftSchedule.constant(GeneratorParams()), 50, seed=3)
         targets = compute_c_from_samples(samples)
-        manual = np.mean(
-            [[out.realized_correct for out in s.per_layer] for s in samples], axis=0
-        )
+        manual = np.mean([s.realized_correct for s in samples], axis=0)
         np.testing.assert_allclose(targets.c_per_exit, manual)
 
     def test_targets_domain(self):
@@ -266,8 +264,23 @@ class TestDatasetFromSamples:
         samples = stream(ShiftSchedule.constant(GeneratorParams()), 5, seed=1)
         ds = dataset_from_samples(samples)
         assert len(ds) == 5 * 12
-        assert ds.feature_dim == len(samples[0].per_layer[0].g_features)
+        assert ds.feature_dim == len(samples[0].g_features[0])
         np.testing.assert_array_equal(ds.inputs[:, -1], 1.0)
+
+    def test_columns_equal_a_per_layer_loop(self):
+        # the per-(sample, layer) loop with the same arithmetic is the reference
+        samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=5)), 40, seed=6)
+        ds = dataset_from_samples(samples)
+        rows, ce = [], []
+        for s in samples:
+            for i in range(s.num_layers):
+                rows.append([*s.g_features[i], (i + 1) / s.num_layers, 1.0])
+                p = min(max(s.correct_prob[i], CE_FLOOR), 1.0 - CE_FLOOR)
+                ce.append(-math.log(p) if s.realized_correct[i] else -math.log(1.0 - p))
+        assert ds.inputs.tolist() == rows
+        assert ds.cross_entropy.tolist() == ce
+        assert ds.layer_index.tolist() == [i for _ in samples for i in range(1, 6)]
+        assert ds.correct.tolist() == [r for s in samples for r in s.realized_correct]
 
     def test_cross_entropy_encoding(self):
         sample = make_sample([0.5, 0.9], cps=[0.8, 0.8], realized=[True, False])
@@ -337,13 +350,12 @@ class TestTrain:
         rng = np.random.default_rng(5)
         samps = []
         for _ in range(400):
-            layers = []
-            for i in (1, 2):
-                x = float(rng.uniform(-2, 2))
-                realized = x > 0
-                cp = float(math.exp(-0.05)) if realized else float(1 - math.exp(-3.0))
-                layers.append(LayerOutcome(i, 0.5, 0.5, cp, realized, (x, i / 2, 0.5)))
-            samps.append(SampleOutcomes(tuple(layers)))
+            xs = [float(rng.uniform(-2, 2)) for _ in (1, 2)]
+            realized = tuple(x > 0 for x in xs)
+            cps = tuple(float(math.exp(-0.05)) if r else float(1 - math.exp(-3.0))
+                        for r in realized)
+            features = tuple((x, i / 2, 0.5) for i, x in enumerate(xs, start=1))
+            samps.append(SampleOutcomes((0.5, 0.5), (0.5, 0.5), cps, realized, features))
         ds = dataset_from_samples(samps)
         model = train(ds, compute_c_from_samples(samps))
         assert model.weights[0] > 0
@@ -406,19 +418,17 @@ class TestRescore:
         model = ReliabilityModel((0.0, 0.0, 0.0, 0.0, 0.0), num_layers=2)
         sample = make_sample([0.5, 0.9], cps=[0.7, 0.8], realized=[True, False])
         rescored = rescore_sample(model, sample)
-        for before, after in zip(sample.per_layer, rescored.per_layer):
-            assert after.reliability_risk == 0.5
-            assert after.confidence == before.confidence
-            assert after.correct_prob == before.correct_prob
-            assert after.realized_correct == before.realized_correct
-            assert after.g_features == before.g_features
-            assert after.layer_index == before.layer_index
+        assert rescored.reliability_risk == (0.5, 0.5)
+        assert rescored.confidence == sample.confidence
+        assert rescored.correct_prob == sample.correct_prob
+        assert rescored.realized_correct == sample.realized_correct
+        assert rescored.g_features == sample.g_features
 
     def test_stream_maps_every_sample(self):
         model = ReliabilityModel((0.0, 0.0, 0.0, 0.0, 0.0), num_layers=2)
         out = rescore_stream(model, [make_sample([0.5, 0.9])] * 3)
         assert len(out) == 3
-        assert all(s.per_layer[0].reliability_risk == 0.5 for s in out)
+        assert all(s.reliability_risk[0] == 0.5 for s in out)
 
     def test_depth_mismatch_rejected(self):
         model = ReliabilityModel((0.0, 0.0, 0.0, 0.0, 0.0), num_layers=12)

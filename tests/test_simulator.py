@@ -17,11 +17,12 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def confidently_wrong(sample):
-    """Layers matching the corruption signature of the generator."""
+    """1-based layers matching the corruption signature of the generator."""
     return [
-        out
-        for out in sample.per_layer
-        if out.confidence >= 0.7 and not out.realized_correct and out.correct_prob < 0.3
+        layer
+        for layer, (conf, realized, cp) in enumerate(
+            zip(sample.confidence, sample.realized_correct, sample.correct_prob), start=1)
+        if conf >= 0.7 and not realized and cp < 0.3
     ]
 
 
@@ -44,7 +45,7 @@ class TestCorruption:
             if wrong:
                 hits += 1
                 assert len(wrong) == 1
-                assert wrong[0].layer_index <= top
+                assert wrong[0] <= top
         assert hits / n == pytest.approx(0.12, abs=0.01)
 
     def test_two_layer_network_cannot_corrupt(self):
@@ -62,27 +63,25 @@ class TestDepthModel:
             confidence_noise=0.0, depth_gain=1000.0, overconfidence_rate=0.0
         )
         for s in stream(ShiftSchedule.constant(params), 50, seed=5):
-            assert s.final_label_correct_prob > 1.0 - 1e-6
+            assert s.correct_prob[-1] > 1.0 - 1e-6
 
     def test_correctness_monotone_in_depth(self):
         # without corruption every sample's correct_prob rises with depth
         params = GeneratorParams(overconfidence_rate=0.0, seed=2)
         samples = stream(ShiftSchedule.constant(params), 10_000, seed=13)
-        per_layer = np.asarray(
-            [[out.correct_prob for out in s.per_layer] for s in samples]
-        )
-        assert np.all(np.diff(per_layer, axis=1) >= 0.0)
-        means = per_layer.mean(axis=0)
+        cp = np.asarray([s.correct_prob for s in samples])
+        assert np.all(np.diff(cp, axis=1) >= 0.0)
+        means = cp.mean(axis=0)
         assert np.all(np.diff(means) >= -1e-3)
 
     def test_zero_noise_confidence_tracks_correctness(self):
         params = GeneratorParams(confidence_noise=0.0, overconfidence_rate=0.0)
         for s in stream(ShiftSchedule.constant(params), 300, seed=4):
-            for out in s.per_layer:
-                if out.realized_correct:
-                    assert out.confidence == out.correct_prob
+            for conf, cp, realized in zip(s.confidence, s.correct_prob, s.realized_correct):
+                if realized:
+                    assert conf == cp
                 else:
-                    assert out.confidence == 0.0  # -correct_prob clamped at zero
+                    assert conf == 0.0  # -correct_prob clamped at zero
 
     def test_noise_shift_lowers_final_accuracy(self):
         # drag couples confidence noise into difficulty; a mid-stream noise
@@ -92,7 +91,7 @@ class TestDepthModel:
         noisy = GeneratorParams(confidence_noise=0.4, **base)
         sch = ShiftSchedule(((1, quiet), (5001, noisy)))
         for seed in range(10):
-            cps = [s.final_label_correct_prob for s in iter_samples(sch, 10_000, seed)]
+            cps = [s.correct_prob[-1] for s in iter_samples(sch, 10_000, seed)]
             assert np.mean(cps[5000:]) < np.mean(cps[:5000])
 
 
@@ -134,16 +133,14 @@ class TestSampleShape:
         sch = ShiftSchedule.constant(GeneratorParams(seed=8))
         for s in stream(sch, 500, seed=2):
             assert s.num_layers == 12
-            for out in s.per_layer:
-                assert 0.0 <= out.confidence <= 1.0
-                assert 0.0 <= out.reliability_risk <= 1.0
-                assert 0.0 <= out.correct_prob <= 1.0
-                assert len(out.g_features) == 3
+            for column in (s.confidence, s.reliability_risk, s.correct_prob):
+                assert all(0.0 <= v <= 1.0 for v in column)
+            assert all(len(features) == 3 for features in s.g_features)
 
     def test_realized_rate_tracks_correct_prob(self):
         sch = ShiftSchedule.constant(GeneratorParams(overconfidence_rate=0.0))
         samples = stream(sch, 20_000, seed=17)
-        cp = np.asarray([s.per_layer[0].correct_prob for s in samples])
-        hit = np.asarray([s.per_layer[0].realized_correct for s in samples])
+        cp = np.asarray([s.correct_prob[0] for s in samples])
+        hit = np.asarray([s.realized_correct[0] for s in samples])
         sigma = np.sqrt(np.mean(cp * (1 - cp)) / len(samples))
         assert abs(hit.mean() - cp.mean()) < 4 * sigma + 1e-9
