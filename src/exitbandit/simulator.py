@@ -17,12 +17,17 @@ corrupted to be confidently wrong: realized false, correct_prob pushed below
 0.3, confidence pushed to at least 0.7. This is the hazard an exit policy
 that trusts raw confidence walks into.
 
-Reproducibility contract: every round uses its own PCG64 stream keyed by
-(stream_seed, params.seed, round_index) via numpy SeedSequence, and draws in
-a fixed order (difficulty, confidence noise vector, realized uniforms,
-feature noise vector, corruption draws). Identical (schedule, num_rounds,
-seed) inputs therefore yield bit-identical streams, and each round is
-reproducible in isolation.
+Reproducibility contract: round t draws from its own PCG64 stream, seeded by
+numpy's SeedSequence((stream_seed, params.seed, t)) (`round_rng` builds that
+one stream), in a fixed order (difficulty, confidence noise vector, realized
+uniforms, feature noise vector, corruption draws). `iter_samples` computes
+the same per-round seeds for a block of rounds at a time: SeedSequence's
+entropy mixing and PCG64's seeding step run in numpy over the block's round
+indices, and one Generator takes each round's (state, inc) in turn. NumPy's
+RNG policy (NEP 19) keeps both algorithms stable, and the tests pin the block
+computation against SeedSequence and PCG64 themselves. Identical (schedule,
+num_rounds, seed) inputs therefore yield bit-identical streams, and each
+round is reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -32,13 +37,31 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params
+# active_params stays in this namespace: the benchmark's traced run wraps
+# simulator.active_params
+from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params  # noqa: F401
 
 # corrupted layers get confidence in [0.7, 0.95] and correct_prob in [0.05, 0.25]
 _CORRUPT_CONF_LO = 0.7
 _CORRUPT_CONF_HI = 0.95
 _CORRUPT_PROB_LO = 0.05
 _CORRUPT_PROB_HI = 0.25
+
+# rounds seeded per vectorized pass; bounds the size of the per-block arrays
+_BLOCK_ROUNDS = 512
+
+# numpy.random.SeedSequence's pool size and hash constants (bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def _logistic(x: float) -> float:
@@ -98,22 +121,111 @@ def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> Sample
 
 
 def round_rng(stream_seed: int, params_seed: int, round_index: int) -> np.random.Generator:
-    """Per-round RNG stream; the splitting key is part of the format contract."""
+    """One round's RNG stream: the reference for the seeds `iter_samples` computes."""
     ss = np.random.SeedSequence((stream_seed, params_seed, round_index))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _int_words(n: int) -> list[int]:
+    """SeedSequence's entropy words for a non-negative int: uint32, low first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(stream_seed: int, params_seed: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence((stream_seed, params_seed, t)).generate_state(8, np.uint32)
+    for t = first .. first + count - 1, as a (8, count) array.
+
+    The rounds must share t >> 32, so every key has the same entropy words
+    except the lowest word of t, which is a numpy row over the block.
+    """
+    key = _int_words(stream_seed) + _int_words(params_seed)
+    t_row = len(key)
+    key += _int_words(first)
+    key += [0] * (_POOL_SIZE - len(key))  # hashing a 0 word is how the pool pads
+    entropy = np.array(key, dtype=np.uint32)[:, None].repeat(count, axis=1)
+    entropy[t_row] += np.arange(count, dtype=np.uint32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append(value ^ value >> 16)
+    return np.array(words)
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64's (state, inc) lists seeded from `_seed_words` columns.
+
+    The 8 words are generate_state(4, np.uint64) in little-endian pairs:
+    initstate = (u0 << 64) | u1 and initseq = (u2 << 64) | u3.
+    """
+    u = words.astype(np.uint64)
+    u = (u[0::2] | u[1::2] << np.uint64(32)).astype(object)
+    inc = (u[2] << 65 | u[3] << 1 | 1) & _MASK128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
 
 
 def iter_samples(
     schedule: ShiftSchedule, num_rounds: int, seed: int
 ) -> Iterator[SampleOutcomes]:
-    """Lazily yield samples for rounds 1..num_rounds under the schedule."""
+    """Lazily yield samples for rounds 1..num_rounds under the schedule.
+
+    The arguments are checked when called, before the first sample is drawn.
+    """
     if num_rounds < 1:
         raise ValueError("num_rounds must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    for t in range(1, num_rounds + 1):
-        params = active_params(schedule, t)
-        yield generate_sample(params, round_rng(seed, params.seed, t))
+    return _block_seeded_samples(schedule, num_rounds, seed)
+
+
+def _block_seeded_samples(
+    schedule: ShiftSchedule, num_rounds: int, seed: int
+) -> Iterator[SampleOutcomes]:
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    stops = [start for start, _ in schedule.segments[1:]] + [num_rounds + 1]
+    for (first, params), stop in zip(schedule.segments, stops):
+        stop = min(stop, num_rounds + 1)
+        while first < stop:
+            # a block stays inside one segment and one value of t >> 32
+            count = min(stop, first + _BLOCK_ROUNDS, ((first >> 32) + 1) << 32) - first
+            states, incs = _pcg64_states(_seed_words(seed, params.seed, first, count))
+            for state, inc in zip(states, incs):
+                pcg["state"], pcg["inc"] = state, inc
+                bit_generator.state = full_state  # also clears the 32-bit buffer
+                yield generate_sample(params, rng)
+            first += count
 
 
 def stream(schedule: ShiftSchedule, num_rounds: int, seed: int) -> list[SampleOutcomes]:

@@ -43,7 +43,6 @@ from exitbandit import (
     layer_score,
     per_arm_pulls,
     positive_gaps,
-    replay_arm,
     reward,
     run,
     run_many,
@@ -163,12 +162,12 @@ def landscape_runs():
     per_seed = []
     for s in range(20):
         seed = 200 + s
-        tr50 = run(G, iter_samples(sch, 50_000, seed=seed), RP,
-                   num_rounds=50_000, seed=seed)
+        # the adaptive run and the best fixed arm share one stream
+        tr50, best = run_many([UcbPolicy(G), FixedPolicy(BEST_ARM)],
+                              iter_samples(sch, 50_000, seed), RP, grid=G,
+                              num_rounds=50_000, seed=seed)
         tr5 = run(G, iter_samples(sch, 5_000, seed=seed), RP,
                   num_rounds=5_000, seed=seed)
-        best = replay_arm(BEST_ARM, iter_samples(sch, 50_000, seed=seed), RP,
-                          grid=G, num_rounds=50_000)
         per_seed.append({
             "r50": cumulative_regret(tr50, MEANS),
             "r5": cumulative_regret(tr5, MEANS),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitbandit import (
     GeneratorParams,
@@ -11,7 +13,13 @@ from exitbandit import (
     round_rng,
     stream,
 )
-from exitbandit.simulator import max_corruptible_layer
+from exitbandit.env import active_params
+from exitbandit.simulator import (
+    _BLOCK_ROUNDS,
+    _pcg64_states,
+    _seed_words,
+    max_corruptible_layer,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -126,6 +134,57 @@ class TestReproducibility:
         sch = ShiftSchedule.constant(GeneratorParams())
         with pytest.raises(ValueError, match="seed"):
             list(iter_samples(sch, 1, seed=-1))
+
+    @pytest.mark.parametrize("num_rounds, seed, match", [(0, 0, "num_rounds"),
+                                                         (1, -5, "seed")])
+    def test_bad_arguments_rejected_before_iteration(self, num_rounds, seed, match):
+        sch = ShiftSchedule.constant(GeneratorParams())
+        with pytest.raises(ValueError, match=match):
+            iter_samples(sch, num_rounds, seed=seed)
+
+
+# stream seeds and params seeds at the edges of SeedSequence's word count
+KEY_INTS = st.sampled_from([0, 2**32 - 1, 2**32]) | st.integers(0, 9).map(lambda k: 2**64 + k) \
+    | st.integers(0, 2**80)
+FIRST_ROUNDS = st.sampled_from([1, 2**32 - 1, 2**32]) | st.integers(1, 2**70)
+
+
+class TestBlockSeeding:
+    """The vectorized block seeds equal numpy's SeedSequence and PCG64."""
+
+    @given(stream_seed=KEY_INTS, params_seed=KEY_INTS, first=FIRST_ROUNDS,
+           count=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_words_and_states_match_numpy(self, stream_seed, params_seed, first, count):
+        # a block never spans two values of t >> 32
+        count = min(count, (((first >> 32) + 1) << 32) - first)
+        words = _seed_words(stream_seed, params_seed, first, count)
+        states, incs = _pcg64_states(words)
+        assert words.shape == (8, count)
+        for j in range(count):
+            seq = np.random.SeedSequence((stream_seed, params_seed, first + j))
+            assert words[:, j].tolist() == seq.generate_state(8, np.uint32).tolist()
+            pcg = np.random.PCG64(seq).state["state"]
+            assert (states[j], incs[j]) == (pcg["state"], pcg["inc"])
+
+    def test_streams_match_round_rng_across_segments_and_blocks(self):
+        # segment starts on a block edge (1 + _BLOCK_ROUNDS) and inside a block;
+        # overconfidence_rate 1.0 makes every round draw rng.integers, which
+        # buffers half a 64-bit word, so each round must start with has_uint32 = 0
+        edge = 1 + _BLOCK_ROUNDS
+        inside = edge + _BLOCK_ROUNDS // 2
+        sch = ShiftSchedule((
+            (1, GeneratorParams(overconfidence_rate=1.0, seed=1)),
+            (edge, GeneratorParams(overconfidence_rate=1.0, seed=2**32)),
+            (inside, GeneratorParams(overconfidence_rate=1.0, confidence_noise=0.2)),
+        ))
+        num_rounds = inside + _BLOCK_ROUNDS + 50
+        for seed in (0, 2**32 + 7):
+            expected = []
+            for t in range(1, num_rounds + 1):
+                params = active_params(sch, t)
+                expected.append(generate_sample(params, round_rng(seed, params.seed, t)))
+            assert list(iter_samples(sch, num_rounds, seed)) == expected
 
 
 class TestSampleShape:
