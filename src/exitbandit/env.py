@@ -20,6 +20,12 @@ DEFAULT_GRID_LOW = 0.5
 DEFAULT_GRID_HIGH = 1.0
 
 
+def require_integer(name: str, value) -> None:
+    """Reject anything but an integer; bool is an Integral but never a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThresholdGrid:
     """Finite, strictly increasing set of candidate exit thresholds in (0, 1]."""
@@ -83,10 +89,8 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_layers", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integer("num_layers", self.num_layers)
+        require_integer("seed", self.seed)
         for name in ("difficulty_spread", "depth_gain", "confidence_noise",
                      "reliability_signal", "overconfidence_rate", "noise_accuracy_drag"):
             value = getattr(self, name)
@@ -149,9 +153,10 @@ class SampleOutcomes:
 class ShiftSchedule:
     """Piecewise-constant generator parameters over the round axis.
 
-    segments: (start_round, params) pairs; the first start_round must be 1
-    and starts must be strictly increasing. A segment applies from its start
-    round (inclusive) until the next segment begins.
+    segments: (start_round, params) pairs; start rounds are integers, the
+    first is 1 and they strictly increase. Every segment has the same
+    num_layers. A segment applies from its start round (inclusive) until the
+    next segment begins.
     """
 
     segments: tuple[tuple[int, GeneratorParams], ...]
@@ -161,6 +166,10 @@ class ShiftSchedule:
         if len(self.segments) == 0:
             raise ValueError("schedule needs at least one segment")
         starts = [s for s, _ in self.segments]
+        for start in starts:
+            require_integer("start_round", start)
+        if len({p.num_layers for _, p in self.segments}) != 1:
+            raise ValueError("segments must share one num_layers")
         if starts[0] != 1:
             raise ValueError("first segment must start at round 1")
         if any(b <= a for a, b in zip(starts, starts[1:])):

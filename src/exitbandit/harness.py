@@ -122,13 +122,9 @@ def _parse_schedule(payload, where: str) -> ShiftSchedule:
              _parse_generator(seg["generator"], f"{where}[{pos}].generator"))
         )
     try:
-        schedule = ShiftSchedule(tuple(segments))
+        return ShiftSchedule(tuple(segments))
     except ValueError as e:
         raise ConfigError(f"invalid {where}: {e}") from e
-    depths = {p.num_layers for _, p in schedule.segments}
-    if len(depths) != 1:
-        raise ConfigError(f"{where} mixes segments of different num_layers")
-    return schedule
 
 
 def _parse_grid(payload, where: str) -> ThresholdGrid:

@@ -92,27 +92,6 @@ def beta_bound(gaps: list[float], num_rounds: int) -> float:
     return total
 
 
-def hoeffding_ci(
-    mean_estimate: float,
-    num_pulls: int,
-    num_rounds: int,
-    reward_range: float = 1.0,
-) -> tuple[float, float]:
-    """Confidence interval mean +/- range*sqrt(2*ln(T)/n).
-
-    ``reward_range`` rescales the unit-interval width when penalties push
-    rewards outside [0, 1].
-    """
-    if num_pulls < 1:
-        raise ValueError("num_pulls must be >= 1")
-    if num_rounds <= 1:
-        raise ValueError("num_rounds must exceed 1")
-    if reward_range <= 0.0:
-        raise ValueError("reward_range must be positive")
-    half = reward_range * math.sqrt(2.0 * math.log(num_rounds) / num_pulls)
-    return mean_estimate - half, mean_estimate + half
-
-
 def empirical_risk(trace: RunTrace) -> tuple[float, float]:
     """(expected error at exit, realized error rate).
 
@@ -223,16 +202,15 @@ def summarize(
     per_arm_means: dict[float, float],
     best_arm: float,
     *,
+    epsilon_star: float,
     epsilon: Optional[float] = None,
-    epsilon_star: Optional[float] = None,
     calibration_tol: float = 0.1,
 ) -> RunSummary:
     """Full metric sweep for one run against oracle per-arm means.
 
-    ``epsilon_star`` is the oracle arm's own empirical risk, which the means
-    map cannot reconstruct, so callers should pass it. When omitted it falls
-    back to 1 - best mean, a stand-in that is only meaningful for
-    penalty-free score variants.
+    ``epsilon_star`` is the oracle arm's own empirical risk; the means map
+    cannot supply it, since a mean reward is a score minus a depth penalty,
+    not an accuracy.
     """
     params = trace.reward_params
     best_mean = per_arm_means[best_arm]
@@ -240,8 +218,6 @@ def summarize(
     regret = cumulative_regret(trace, per_arm_means, best_mean)
     bound = beta_bound(positive_gaps(gaps), len(trace))
     risk, realized = empirical_risk(trace)
-    if epsilon_star is None:
-        epsilon_star = 1.0 - best_mean
     holds, report = risk_bound_check(
         risk, epsilon_star, bound, len(trace), params.lam, params.num_layers,
     )

@@ -210,27 +210,6 @@ def hinge_sq(a: float) -> float:
     return max(0.0, a) ** 2
 
 
-def per_exit_loss(ce: float, g_val: float, c_i: float, cov: float) -> float:
-    """Scalar form of one exit's objective term."""
-    if ce < 0.0:
-        raise ValueError("ce must be >= 0")
-    if not (0.0 < g_val < 1.0):
-        raise ValueError("g_val must lie strictly inside (0, 1)")
-    if not (0.0 <= cov <= 1.0):
-        raise ValueError("cov must lie in [0, 1]")
-    return ce * (1.0 + g_val) + hinge_sq(c_i - cov)
-
-
-def aggregate_loss(per_exit: Sequence[float], num_layers: int) -> float:
-    """Depth-weighted mean: sum(i * loss_i) / sum(i)."""
-    if len(per_exit) == 0:
-        raise ValueError("empty per-exit losses")
-    if len(per_exit) != num_layers:
-        raise ValueError("per-exit losses must have one entry per layer")
-    weights = range(1, num_layers + 1)
-    return sum(i * v for i, v in zip(weights, per_exit)) / sum(weights)
-
-
 def compute_c(validation: Sequence[Sequence[bool]]) -> CoverageTargets:
     """Per-exit correctness rates of a validation set, used as floors."""
     arr = np.asarray(validation, dtype=bool)

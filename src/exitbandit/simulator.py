@@ -40,6 +40,7 @@ import numpy as np
 # active_params stays in this namespace: the benchmark's traced run wraps
 # simulator.active_params
 from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params  # noqa: F401
+from .env import require_integer
 
 # corrupted layers get confidence in [0.7, 0.95] and correct_prob in [0.05, 0.25]
 _CORRUPT_CONF_LO = 0.7
@@ -200,6 +201,8 @@ def iter_samples(
 
     The arguments are checked when called, before the first sample is drawn.
     """
+    require_integer("num_rounds", num_rounds)
+    require_integer("seed", seed)
     if num_rounds < 1:
         raise ValueError("num_rounds must be >= 1")
     if seed < 0:

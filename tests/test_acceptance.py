@@ -28,29 +28,26 @@ from exitbandit import (
     ShiftSchedule,
     ThresholdGrid,
     UcbPolicy,
-    arm_gaps,
-    auc_score,
-    batch_scores,
-    beta_bound,
     compute_c_from_samples,
-    coverage,
     cumulative_regret,
     dataset_from_samples,
     decide,
     default_grid,
     empirical_risk,
     iter_samples,
-    layer_score,
-    per_arm_pulls,
-    positive_gaps,
     reward,
     run,
     run_many,
     stream,
     train,
 )
+from exitbandit.exits import layer_score
 from exitbandit.harness import benchmark_overhead
+from exitbandit.metrics import arm_gaps, beta_bound, per_arm_pulls, positive_gaps
 from exitbandit.reliability import (
+    auc_score,
+    batch_scores,
+    coverage,
     finite_difference_gradient,
     loss_interference_experiment,
     objective_gradient,

@@ -18,16 +18,13 @@ from exitbandit import (
     UcbPolicy,
     decide,
     default_grid,
-    has_penalty,
-    lambda_from_epsilon,
-    natural_criterion,
-    per_arm_pulls,
     reward,
     run,
     run_many,
     run_policy,
-    ucb_index,
 )
+from exitbandit.bandit import has_penalty, lambda_from_epsilon, natural_criterion, ucb_index
+from exitbandit.metrics import per_arm_pulls
 
 
 class TestRewardVariants:
@@ -183,6 +180,23 @@ class TestBanditState:
         i1 = ucb_index(0.1, 50, 101, 1.5)
         assert i0 > i1
         assert grid.values[state.select_index()] == 0.3
+
+    @given(data=st.data(), k=st.integers(1, 8), gamma=st.floats(1.0, 4.0),
+           log_of=st.none() | st.integers(1, 10**9))
+    @settings(max_examples=300, deadline=None)
+    def test_select_index_is_lowest_argmax_of_ucb_index(self, data, k, gamma, log_of):
+        # a few shared values make exact ties between arms common
+        q = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5])
+                               | st.floats(-1.0, 1.0), min_size=k, max_size=k))
+        n = data.draw(st.lists(st.sampled_from([1, 2, 7]) | st.integers(1, 10**6),
+                               min_size=k, max_size=k))
+        t = data.draw(st.integers(k, 10**9))  # completed rounds, past initialization
+        state = BanditState(grid=ThresholdGrid(tuple((i + 1) / k for i in range(k))),
+                            gamma=gamma, q_values=list(q), pull_counts=list(n),
+                            observations=list(n), t=t)
+        log_round = t + 1 if log_of is None else log_of
+        indices = [ucb_index(q[i], n[i], log_round, gamma) for i in range(k)]
+        assert state.select_index(log_of) == indices.index(max(indices))
 
     def test_incremental_mean_matches_batch(self):
         rng = np.random.default_rng(7)

@@ -18,7 +18,6 @@ from exitbandit import (
     default_grid,
     empirical_risk,
     exit_distribution,
-    mean_exit_layer,
     oracle_best_arm,
     replay_arm,
     run_policy,
@@ -26,6 +25,7 @@ from exitbandit import (
     stream,
 )
 from exitbandit.bandit import UcbPolicy
+from exitbandit.metrics import mean_exit_layer
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Threshold grid, generator parameter validation, and shift schedules."""
 
+import numpy as np
 import pytest
 
 from conftest import make_sample
@@ -8,9 +9,10 @@ from exitbandit import (
     SampleOutcomes,
     ShiftSchedule,
     ThresholdGrid,
-    active_params,
     default_grid,
+    iter_samples,
 )
+from exitbandit.env import active_params
 
 
 class TestDefaultGrid:
@@ -148,3 +150,26 @@ class TestShiftSchedule:
         a = GeneratorParams()
         with pytest.raises(ValueError, match="strictly increasing"):
             ShiftSchedule(((1, a), (100, a), (100, a)))
+
+    @pytest.mark.parametrize("start", [1.0, 2.5, True, "1", None])
+    def test_non_integer_start_rejected(self, start):
+        a = GeneratorParams()
+        with pytest.raises(ValueError, match="start_round must be an integer"):
+            ShiftSchedule(((start, a),))
+        with pytest.raises(ValueError, match="start_round must be an integer"):
+            ShiftSchedule(((1, a), (start, a)))
+
+    def test_float_start_rejected_before_any_sample(self):
+        # 1.0 == 1, so only the type check keeps it out of the RNG key
+        with pytest.raises(ValueError, match="start_round"):
+            list(iter_samples(ShiftSchedule(((1.0, GeneratorParams()),)), 3, 0))
+
+    def test_numpy_integer_start_accepted(self):
+        b = GeneratorParams(seed=2)
+        sch = ShiftSchedule(((1, GeneratorParams()), (np.int64(50), b)))
+        assert active_params(sch, 50) is b
+
+    def test_mixed_depths_rejected(self):
+        with pytest.raises(ValueError, match="num_layers"):
+            ShiftSchedule(((1, GeneratorParams(num_layers=12)),
+                           (5, GeneratorParams(num_layers=6))))

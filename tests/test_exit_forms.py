@@ -26,14 +26,13 @@ from exitbandit import (
     ShiftSchedule,
     ThresholdGrid,
     decide,
-    layer_score,
     oracle_best_arm,
     replay_arm,
     reward,
     run_many,
     stream,
 )
-from exitbandit.exits import ExitScan, exit_columns
+from exitbandit.exits import ExitScan, exit_columns, layer_score
 
 THRESHOLDS = (0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
 GRID = ThresholdGrid(THRESHOLDS)

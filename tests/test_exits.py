@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample
-from exitbandit import Criterion, SampleOutcomes, decide, exit_distribution, exits, layer_score
+from exitbandit import Criterion, SampleOutcomes, decide, exit_distribution, exits
+from exitbandit.exits import layer_score
 
 
 @pytest.fixture

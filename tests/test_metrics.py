@@ -13,25 +13,26 @@ from exitbandit import (
     RewardParams,
     ShiftSchedule,
     ThresholdGrid,
-    arm_gaps,
-    beta_bound,
     cumulative_regret,
-    delta1_hat,
     empirical_risk,
-    hoeffding_ci,
-    layer_score,
-    mean_exit_layer,
     oracle_best_arm,
-    per_arm_pulls,
-    positive_gaps,
-    regret_curve,
     replay_arm,
-    risk_bound_check,
     speedup,
     stream,
     summarize,
 )
-from exitbandit.metrics import attach_regret
+from exitbandit.exits import layer_score
+from exitbandit.metrics import (
+    arm_gaps,
+    attach_regret,
+    beta_bound,
+    delta1_hat,
+    mean_exit_layer,
+    per_arm_pulls,
+    positive_gaps,
+    regret_curve,
+    risk_bound_check,
+)
 
 
 class TestGaps:
@@ -109,34 +110,6 @@ class TestBetaBound:
 
     def test_monotone_in_horizon(self):
         assert beta_bound([0.2], 10_000) < beta_bound([0.2], 100_000)
-
-
-class TestHoeffdingCi:
-    def test_width_vanishes_with_pulls(self):
-        lo, hi = hoeffding_ci(0.5, 10**12, 1000)
-        assert hi - lo < 1e-5
-
-    def test_unit_width_case(self):
-        n = 2 * math.log(1000)
-        lo, hi = hoeffding_ci(0.5, n, 1000)
-        assert (lo, hi) == (-0.5, 1.5)
-
-    def test_half_width_oracle(self):
-        lo, hi = hoeffding_ci(0.5, 8, 1000)
-        assert (hi - lo) / 2 == pytest.approx(1.31414, abs=1e-4)
-
-    def test_range_rescaling(self):
-        lo1, hi1 = hoeffding_ci(0.5, 8, 1000, reward_range=1.0)
-        lo2, hi2 = hoeffding_ci(0.5, 8, 1000, reward_range=2.0)
-        assert (hi2 - lo2) == pytest.approx(2 * (hi1 - lo1))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_ci(0.5, 0, 100)
-        with pytest.raises(ValueError):
-            hoeffding_ci(0.5, 5, 1)
-        with pytest.raises(ValueError):
-            hoeffding_ci(0.5, 5, 100, reward_range=0.0)
 
 
 class TestEmpiricalRisk:

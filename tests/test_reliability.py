@@ -11,15 +11,9 @@ from exitbandit import (
     GeneratorParams,
     SampleOutcomes,
     ShiftSchedule,
-    auc_score,
-    batch_scores,
-    compute_c,
     compute_c_from_samples,
-    coverage,
     dataset_from_samples,
-    rescore_sample,
     rescore_stream,
-    score,
     stream,
     train,
 )
@@ -29,13 +23,17 @@ from exitbandit.reliability import (
     Dataset,
     Hyperparams,
     ReliabilityModel,
-    aggregate_loss,
+    auc_score,
+    batch_scores,
+    compute_c,
+    coverage,
     finite_difference_gradient,
     hinge_sq,
     loss_interference_experiment,
     objective_gradient,
     per_exit_coverage,
-    per_exit_loss,
+    rescore_sample,
+    score,
 )
 
 
@@ -187,37 +185,6 @@ class TestLossTerms:
         assert hinge_sq(-0.1) == 0.0
         assert hinge_sq(0.0) == 0.0
         assert hinge_sq(0.2) == pytest.approx(0.04, abs=1e-15)
-
-    def test_per_exit_loss_fit_only(self):
-        assert per_exit_loss(0.5, 0.4, 0.3, 0.5) == 0.7
-
-    def test_per_exit_loss_with_coverage_shortfall(self):
-        assert per_exit_loss(0.5, 0.4, 0.7, 0.5) == pytest.approx(0.74, abs=1e-12)
-
-    def test_per_exit_loss_zero_ce(self):
-        assert per_exit_loss(0.0, 0.5, 0.9, 0.1) == pytest.approx(0.64, abs=1e-12)
-
-    def test_per_exit_loss_domain(self):
-        with pytest.raises(ValueError):
-            per_exit_loss(-0.1, 0.5, 0.5, 0.5)
-        for g in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                per_exit_loss(0.1, g, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            per_exit_loss(0.1, 0.5, 0.5, 1.1)
-
-    def test_aggregate_loss_depth_weighting(self):
-        assert aggregate_loss([1.0, 0.5], 2) == pytest.approx(2 / 3, abs=1e-15)
-        assert aggregate_loss([0.0, 0.0, 3.0], 3) == 1.5
-
-    def test_aggregate_loss_constant(self):
-        assert aggregate_loss([0.37] * 5, 5) == pytest.approx(0.37, abs=1e-12)
-
-    def test_aggregate_loss_validation(self):
-        with pytest.raises(ValueError):
-            aggregate_loss([], 0)
-        with pytest.raises(ValueError):
-            aggregate_loss([1.0, 2.0], 3)
 
 
 class TestCoverageTargets:

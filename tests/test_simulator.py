@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitbandit import (
-    GeneratorParams,
-    ShiftSchedule,
-    generate_sample,
-    iter_samples,
-    round_rng,
-    stream,
-)
+from exitbandit import GeneratorParams, ShiftSchedule, iter_samples, round_rng, stream
 from exitbandit.env import active_params
 from exitbandit.simulator import (
     _BLOCK_ROUNDS,
     _pcg64_states,
     _seed_words,
+    generate_sample,
     max_corruptible_layer,
 )
 
@@ -135,8 +129,11 @@ class TestReproducibility:
         with pytest.raises(ValueError, match="seed"):
             list(iter_samples(sch, 1, seed=-1))
 
-    @pytest.mark.parametrize("num_rounds, seed, match", [(0, 0, "num_rounds"),
-                                                         (1, -5, "seed")])
+    @pytest.mark.parametrize("num_rounds, seed, match", [
+        (0, 0, "num_rounds"), (1, -5, "seed"), (2.5, 0, "num_rounds"),
+        (3.0, 0, "num_rounds"), (True, 0, "num_rounds"), ("3", 0, "num_rounds"),
+        (3, 1.5, "seed"), (3, False, "seed"), (3, None, "seed"),
+    ])
     def test_bad_arguments_rejected_before_iteration(self, num_rounds, seed, match):
         sch = ShiftSchedule.constant(GeneratorParams())
         with pytest.raises(ValueError, match=match):
