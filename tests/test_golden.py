@@ -57,6 +57,50 @@ GOLDEN_STREAMS = {
     "shift": "6dd807e4fc2d421817f46583905a870e2bae4d80508566281b45b2c2c80998d5",
 }
 
+# edge streams of 1100+ rounds, so each spans more than two blocks of
+# rounds: (segments as (start_round, generator overrides), num_rounds, seed)
+EDGE_STREAMS = {
+    # sigma = 0 multiplies negative normals into -0.0 noise
+    "zero_noise": (((1, {"confidence_noise": 0.0}),), 1100, 0),
+    # |difficulty| past ~745 underflows correct_prob to 0.0, so a wrong layer
+    # stores -0.0 * 1 + (-0.0 noise) = -0.0 confidence
+    "zero_noise_extreme_difficulty": (
+        ((1, {"confidence_noise": 0.0, "difficulty_spread": 1000.0}),), 1100, 7),
+    "exact_reliability": (((1, {"reliability_signal": 1.0}),), 1100, 1),
+    "always_corrupt_3_layers": (
+        ((1, {"num_layers": 3, "overconfidence_rate": 1.0}),), 1100, 2),
+    # two layers have no corruptible layer, even at rate 1.0
+    "two_layers": (((1, {"num_layers": 2, "overconfidence_rate": 1.0}),), 1100, 3),
+    "flat_difficulty": (((1, {"difficulty_spread": 0.0}),), 1100, 4),
+    "params_seed": (((1, {"seed": 2**32 + 7}),), 1100, 5),
+    # shifts inside the first block (300) and on the second segment's block
+    # edge (300 + 512)
+    "shift_in_and_on_block": (
+        ((1, {}),
+         (300, {"confidence_noise": 0.4, "overconfidence_rate": 0.3}),
+         (812, {"depth_gain": 4.0, "reliability_signal": 0.5, "seed": 9})),
+        1300, 6),
+}
+
+GOLDEN_EDGE_STREAMS = {
+    "always_corrupt_3_layers":
+        "b6ae27ba1ef6c5232c53d9666fc25e2fecf7100bd39b7c22634ddb684f84960f",
+    "exact_reliability":
+        "9ebaa48e92768d27dbb8aa239fe9714d43522e4c63f7b26069e47310a1e17c3c",
+    "flat_difficulty":
+        "7b7aa15f51c01573c642923db6b69440b0473d4a14cf5a0f38f7706ce18d7ed5",
+    "params_seed":
+        "40dfda52e6dbe6e78c0610a52858410a259a2afabdabcb3a3f2dd0041f1905d2",
+    "shift_in_and_on_block":
+        "e702b09de2eb5c0fd7992c5a573e1b897d17eaa9b7c3e8432f72e59b91bcc38f",
+    "two_layers":
+        "48f0ff3fdccb9154d9b251a7a81f97d9a38f11fe9f539a143284bd6d89a5aa5b",
+    "zero_noise":
+        "2f4fa2f68a7392f867d4a1eab7aa654708366ef7b05bf23ecd8f80db4c52ceee",
+    "zero_noise_extreme_difficulty":
+        "7c1adc3695c99d0b60ecbabcae3174677b9ceacbf1fc8c89d3217ada0ea94e18",
+}
+
 GOLDEN = {
     "final": {
         "aggregate_final.json":
@@ -146,6 +190,13 @@ def stream_samples(name: str) -> list:
     return stream(parse_config(CONFIGS["shift"]).schedule, 400, seed=3)
 
 
+def edge_stream_samples(name: str) -> list:
+    segments, num_rounds, seed = EDGE_STREAMS[name]
+    schedule = ShiftSchedule(tuple((start, GeneratorParams(**overrides))
+                                   for start, overrides in segments))
+    return stream(schedule, num_rounds, seed=seed)
+
+
 def _layers(sample):
     """(confidence, risk, correct_prob, realized, features) per layer, in order."""
     return zip(sample.confidence, sample.reliability_risk, sample.correct_prob,
@@ -184,6 +235,11 @@ def test_stream_fields_match_golden_digests(name):
     assert stream_digest(stream_samples(name)) == GOLDEN_STREAMS[name]
 
 
+@pytest.mark.parametrize("name", sorted(EDGE_STREAMS))
+def test_edge_stream_fields_match_golden_digests(name):
+    assert stream_digest(edge_stream_samples(name)) == GOLDEN_EDGE_STREAMS[name]
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_experiment_outputs_match_golden_digests(name, tmp_path):
     assert experiment_digests(name, tmp_path) == GOLDEN[name]
@@ -197,7 +253,9 @@ if __name__ == "__main__":
     import pprint
     import tempfile
 
-    current = {"streams": {n: stream_digest(stream_samples(n)) for n in sorted(GOLDEN_STREAMS)}}
+    current = {"streams": {n: stream_digest(stream_samples(n)) for n in sorted(GOLDEN_STREAMS)},
+               "edge_streams": {n: stream_digest(edge_stream_samples(n))
+                                for n in sorted(EDGE_STREAMS)}}
     for name in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             current[name] = experiment_digests(name, Path(tmp))
