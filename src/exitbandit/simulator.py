@@ -23,11 +23,15 @@ one stream), in a fixed order (difficulty, confidence noise vector, realized
 uniforms, feature noise vector, corruption draws). `iter_samples` computes
 the same per-round seeds for a block of rounds at a time: SeedSequence's
 entropy mixing and PCG64's seeding step run in numpy over the block's round
-indices, and one Generator takes each round's (state, inc) in turn. NumPy's
-RNG policy (NEP 19) keeps both algorithms stable, and the tests pin the block
-computation against SeedSequence and PCG64 themselves. Identical (schedule,
-num_rounds, seed) inputs therefore yield bit-identical streams, and each
-round is reproducible in isolation.
+indices. One Generator takes each round's state in turn and writes that
+round's draws into its row of the block's arrays; the per-layer transform
+then runs once per block in numpy, with the IEEE operations of the scalar
+formulas above. Only the exponential is math.exp per element, because
+numpy's SIMD exp can differ from it in the last ulp. NumPy's RNG policy (NEP
+19) keeps both seeding algorithms stable, and the tests pin the block seeds
+against SeedSequence and PCG64 themselves. Identical (schedule, num_rounds,
+seed) inputs therefore yield bit-identical streams, and each round is
+reproducible in isolation (`generate_sample` is the one-row case).
 """
 
 from __future__ import annotations
@@ -42,14 +46,13 @@ import numpy as np
 from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params  # noqa: F401
 from .env import require_integer
 
-# corrupted layers get confidence in [0.7, 0.95] and correct_prob in [0.05, 0.25]
-_CORRUPT_CONF_LO = 0.7
-_CORRUPT_CONF_HI = 0.95
-_CORRUPT_PROB_LO = 0.05
-_CORRUPT_PROB_HI = 0.25
+# a corrupted layer's confidence and correct_prob are uniform on these ranges
+_CORRUPT_CONF = (0.7, 0.95)
+_CORRUPT_PROB = (0.05, 0.25)
 
-# rounds seeded per vectorized pass; bounds the size of the per-block arrays
+# rounds seeded per vectorized pass, and rounds drawn and transformed per pass
 _BLOCK_ROUNDS = 512
+_TRANSFORM_ROUNDS = 128
 
 # numpy.random.SeedSequence's pool size and hash constants (bit_generator.pyx)
 _POOL_SIZE = 4
@@ -65,15 +68,9 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _logistic(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+def _unit_clamp(x: np.ndarray) -> np.ndarray:
+    # np.where, not np.clip (min/max leave the sign of equal zeros open): -0.0 stays -0.0
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
 def max_corruptible_layer(num_layers: int) -> int:
@@ -81,44 +78,54 @@ def max_corruptible_layer(num_layers: int) -> int:
     return (num_layers - 1) // 2
 
 
-def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> SampleOutcomes:
-    """Draw one sample's per-layer outcomes from the given RNG state."""
-    L = params.num_layers
-    sigma = params.confidence_noise
-    rs = params.reliability_signal
-
-    # fixed draw order; scale noise by hand so sigma=0 consumes the same entropy.
-    # The vectors become plain floats once, so everything below (and every
-    # stored field) is Python float arithmetic with the same IEEE values.
-    d = params.difficulty_spread * rng.standard_normal()
-    conf_noise = (sigma * rng.standard_normal(L)).tolist()
-    realized_u = rng.random(L).tolist()
-    feat_noise = ((1.0 - rs) * rng.standard_normal(L)).tolist()
-    corrupt_u = rng.random()
-
-    d_eff = d + params.noise_accuracy_drag * sigma
-
-    # the corruption draws come last in the order but change no other layer,
-    # so they are taken before the per-layer loop
-    corrupt_idx = 0
+def _draw_rows(params, rng, states) -> tuple:
+    """Set rng to each round's state in turn and draw that round's row in the
+    fixed order: Z difficulty and confidence noise, U realized uniforms, F
+    feature noise, then the corruption uniform and, on a hit, the corruption
+    draws, listed as (row, layer, confidence, correct_prob)."""
+    L, count = params.num_layers, len(states)
     top = max_corruptible_layer(L)
-    if top >= 1 and corrupt_u < params.overconfidence_rate:
-        corrupt_idx = int(rng.integers(1, top + 1))
-        corrupt_conf = float(rng.uniform(_CORRUPT_CONF_LO, _CORRUPT_CONF_HI))
-        corrupt_cp = float(rng.uniform(_CORRUPT_PROB_LO, _CORRUPT_PROB_HI))
+    Z, U, F = np.empty((count, L + 1)), np.empty((count, L)), np.empty((count, L))
+    corrupted = []
+    for row, (state, z, u, f) in enumerate(zip(states, Z, U, F)):
+        rng.bit_generator.state = state
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+        rng.standard_normal(out=f)
+        if rng.random() < params.overconfidence_rate and top >= 1:
+            corrupted.append((row, int(rng.integers(1, top + 1)),
+                              float(rng.uniform(*_CORRUPT_CONF)),
+                              float(rng.uniform(*_CORRUPT_PROB))))
+    return Z, U, F, corrupted
 
-    layers = []  # one (conf, risk, cp, realized, features) row per layer
-    for i in range(1, L + 1):
-        if i == corrupt_idx:
-            conf, cp, realized = corrupt_conf, corrupt_cp, False
-        else:
-            cp = _logistic(params.depth_gain * (i / L) - d_eff)
-            realized = realized_u[i - 1] < cp
-            direction = 1.0 if realized else -1.0
-            conf = _clamp01(cp * direction + conf_noise[i - 1])
-        feat = cp * rs + feat_noise[i - 1]
-        layers.append((conf, 1.0 - _clamp01(feat), cp, realized, (conf, i / L, feat)))
-    return SampleOutcomes(*zip(*layers))
+
+def _outcomes(params, Z, U, F, corrupted) -> Iterator[SampleOutcomes]:
+    """Transform rows of draws into one SampleOutcomes per row. Noise is scaled
+    here, so sigma = 0 draws as much as any sigma (negative draws become -0.0)."""
+    L, sigma, rs = params.num_layers, params.confidence_noise, params.reliability_signal
+    depth = np.arange(1, L + 1) / L
+    x = params.depth_gain * depth - (params.difficulty_spread * Z[:, :1]
+                                     + params.noise_accuracy_drag * sigma)
+    # logistic(x) through math.exp per element: numpy's SIMD exp can differ in the last ulp
+    e = np.fromiter(map(math.exp, (-np.abs(x)).ravel().tolist()), float, x.size).reshape(x.shape)
+    cp = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    realized = U < cp
+    conf = _unit_clamp(np.where(realized, cp, -cp) + sigma * Z[:, 1:])
+    if corrupted:  # before the features, which read conf and cp
+        rows, layers, c_conf, c_cp = zip(*corrupted)
+        cols = np.array(layers) - 1
+        conf[rows, cols], cp[rows, cols], realized[rows, cols] = c_conf, c_cp, False
+    feat = cp * rs + (1.0 - rs) * F
+    depth = depth.tolist()  # every sample's features share these floats
+    for c, k, p, b, f in zip(conf.tolist(), (1.0 - _unit_clamp(feat)).tolist(), cp.tolist(),
+                             realized.tolist(), feat.tolist()):
+        yield SampleOutcomes(tuple(c), tuple(k), tuple(p), tuple(b), tuple(zip(c, depth, f)))
+
+
+def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> SampleOutcomes:
+    """Draw one sample's per-layer outcomes from the given RNG state: a one-row
+    block (setting rng to its own state changes nothing)."""
+    return next(_outcomes(params, *_draw_rows(params, rng, [rng.bit_generator.state])))
 
 
 def round_rng(stream_seed: int, params_seed: int, round_index: int) -> np.random.Generator:
@@ -181,8 +188,9 @@ def _seed_words(stream_seed: int, params_seed: int, first: int, count: int) -> n
     return np.array(words)
 
 
-def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
-    """PCG64's (state, inc) lists seeded from `_seed_words` columns.
+def _pcg64_states(words: np.ndarray) -> list[dict]:
+    """PCG64's full state, per `_seed_words` column, as its state setter takes it
+    (has_uint32 = 0 clears the 32-bit buffer a previous round may have left).
 
     The 8 words are generate_state(4, np.uint64) in little-endian pairs:
     initstate = (u0 << 64) | u1 and initseq = (u2 << 64) | u3.
@@ -191,12 +199,11 @@ def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
     u = (u[0::2] | u[1::2] << np.uint64(32)).astype(object)
     inc = (u[2] << 65 | u[3] << 1 | 1) & _MASK128
     state = ((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
+    return [{"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+             "has_uint32": 0, "uinteger": 0} for s, i in zip(state.tolist(), inc.tolist())]
 
 
-def iter_samples(
-    schedule: ShiftSchedule, num_rounds: int, seed: int
-) -> Iterator[SampleOutcomes]:
+def iter_samples(schedule: ShiftSchedule, num_rounds: int, seed: int) -> Iterator[SampleOutcomes]:
     """Lazily yield samples for rounds 1..num_rounds under the schedule.
 
     The arguments are checked when called, before the first sample is drawn.
@@ -210,24 +217,18 @@ def iter_samples(
     return _block_seeded_samples(schedule, num_rounds, seed)
 
 
-def _block_seeded_samples(
-    schedule: ShiftSchedule, num_rounds: int, seed: int
-) -> Iterator[SampleOutcomes]:
+def _block_seeded_samples(schedule, num_rounds, seed) -> Iterator[SampleOutcomes]:
     rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     stops = [start for start, _ in schedule.segments[1:]] + [num_rounds + 1]
     for (first, params), stop in zip(schedule.segments, stops):
         stop = min(stop, num_rounds + 1)
         while first < stop:
             # a block stays inside one segment and one value of t >> 32
             count = min(stop, first + _BLOCK_ROUNDS, ((first >> 32) + 1) << 32) - first
-            states, incs = _pcg64_states(_seed_words(seed, params.seed, first, count))
-            for state, inc in zip(states, incs):
-                pcg["state"], pcg["inc"] = state, inc
-                bit_generator.state = full_state  # also clears the 32-bit buffer
-                yield generate_sample(params, rng)
+            states = _pcg64_states(_seed_words(seed, params.seed, first, count))
+            for lo in range(0, count, _TRANSFORM_ROUNDS):
+                part = states[lo:lo + _TRANSFORM_ROUNDS]
+                yield from _outcomes(params, *_draw_rows(params, rng, part))
             first += count
 
 

@@ -1,12 +1,14 @@
 """Synthetic stream generator: distributional examples, corruption, RNG contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitbandit import GeneratorParams, ShiftSchedule, iter_samples, round_rng, stream
-from exitbandit.env import active_params
+from exitbandit.env import SampleOutcomes, active_params
 from exitbandit.simulator import (
     _BLOCK_ROUNDS,
     _pcg64_states,
@@ -129,6 +131,23 @@ class TestReproducibility:
         with pytest.raises(ValueError, match="seed"):
             list(iter_samples(sch, 1, seed=-1))
 
+    @pytest.mark.parametrize("k", [1, 127, 128, 129, 511, 512, 513, 1025])
+    def test_prefixes_are_stable(self, k):
+        # a shorter stream is a prefix of a longer one, so nothing a row, a
+        # transform pass or a seeding block leaves behind reaches the next;
+        # the schedule shifts inside the first block and on a block edge
+        sch = ShiftSchedule((
+            (1, GeneratorParams(overconfidence_rate=0.5)),
+            (300, GeneratorParams(confidence_noise=0.4, seed=5)),
+            (300 + _BLOCK_ROUNDS, GeneratorParams(overconfidence_rate=1.0, depth_gain=4.0)),
+        ))
+        assert stream(sch, k, seed=2) == stream(sch, 1100, seed=2)[:k]
+
+    def test_correct_prob_keeps_math_exp_last_ulp(self):
+        # numpy's SIMD exp gives 0.03263061711101994 here; the contract is math.exp
+        sample = stream(ShiftSchedule.constant(GeneratorParams()), 4, seed=0)[3]
+        assert sample.correct_prob[0] == 0.032630617111019944
+
     @pytest.mark.parametrize("num_rounds, seed, match", [
         (0, 0, "num_rounds"), (1, -5, "seed"), (2.5, 0, "num_rounds"),
         (3.0, 0, "num_rounds"), (True, 0, "num_rounds"), ("3", 0, "num_rounds"),
@@ -156,13 +175,12 @@ class TestBlockSeeding:
         # a block never spans two values of t >> 32
         count = min(count, (((first >> 32) + 1) << 32) - first)
         words = _seed_words(stream_seed, params_seed, first, count)
-        states, incs = _pcg64_states(words)
+        states = _pcg64_states(words)
         assert words.shape == (8, count)
         for j in range(count):
             seq = np.random.SeedSequence((stream_seed, params_seed, first + j))
             assert words[:, j].tolist() == seq.generate_state(8, np.uint32).tolist()
-            pcg = np.random.PCG64(seq).state["state"]
-            assert (states[j], incs[j]) == (pcg["state"], pcg["inc"])
+            assert states[j] == np.random.PCG64(seq).state
 
     def test_streams_match_round_rng_across_segments_and_blocks(self):
         # segment starts on a block edge (1 + _BLOCK_ROUNDS) and inside a block;
@@ -182,6 +200,80 @@ class TestBlockSeeding:
                 params = active_params(sch, t)
                 expected.append(generate_sample(params, round_rng(seed, params.seed, t)))
             assert list(iter_samples(sch, num_rounds, seed)) == expected
+
+
+def _logistic(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def _clamp01(x):
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def scalar_reference_sample(params, rng):
+    """One round as a per-layer Python float loop, drawing in the contract's
+    order: the formulas the block transform must reproduce bit for bit."""
+    L, sigma, rs = params.num_layers, params.confidence_noise, params.reliability_signal
+    d = params.difficulty_spread * rng.standard_normal()
+    conf_noise = (sigma * rng.standard_normal(L)).tolist()
+    realized_u = rng.random(L).tolist()
+    feat_noise = ((1.0 - rs) * rng.standard_normal(L)).tolist()
+    corrupt_u = rng.random()
+    d_eff = d + params.noise_accuracy_drag * sigma
+    corrupt_idx = 0
+    top = max_corruptible_layer(L)
+    if top >= 1 and corrupt_u < params.overconfidence_rate:
+        corrupt_idx = int(rng.integers(1, top + 1))
+        corrupt_conf, corrupt_cp = float(rng.uniform(0.7, 0.95)), float(rng.uniform(0.05, 0.25))
+    layers = []
+    for i in range(1, L + 1):
+        if i == corrupt_idx:
+            conf, cp, realized = corrupt_conf, corrupt_cp, False
+        else:
+            cp = _logistic(params.depth_gain * (i / L) - d_eff)
+            realized = realized_u[i - 1] < cp
+            conf = _clamp01(cp * (1.0 if realized else -1.0) + conf_noise[i - 1])
+        feat = cp * rs + feat_noise[i - 1]
+        layers.append((conf, 1.0 - _clamp01(feat), cp, realized, (conf, i / L, feat)))
+    return SampleOutcomes(*zip(*layers))
+
+
+GENERATOR_PARAMS = st.builds(
+    GeneratorParams,
+    num_layers=st.integers(2, 16),
+    difficulty_spread=st.sampled_from([0.0, 1000.0]) | st.floats(0.0, 50.0),
+    depth_gain=st.floats(0.0, 1000.0),
+    confidence_noise=st.just(0.0) | st.floats(0.0, 2.0),
+    reliability_signal=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    overconfidence_rate=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    noise_accuracy_drag=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**33),
+)
+
+
+class TestBlockTransform:
+    """The block transform equals the per-layer float loop, signed zeros included."""
+
+    @given(params=GENERATOR_PARAMS, seed=st.integers(0, 2**33))
+    @settings(max_examples=60, deadline=None)
+    def test_stream_matches_scalar_reference(self, params, seed):
+        # 140 rounds cross one transform pass; repr shows -0.0 where == would not
+        samples = stream(ShiftSchedule.constant(params), 140, seed)
+        for t, sample in enumerate(samples, start=1):
+            expected = scalar_reference_sample(params, round_rng(seed, params.seed, t))
+            assert repr(sample) == repr(expected)
+
+    @given(params=GENERATOR_PARAMS, seed=st.integers(0, 2**33))
+    @settings(max_examples=60, deadline=None)
+    def test_generate_sample_draws_like_scalar_reference(self, params, seed):
+        # same outcomes, and the rng is left where the reference leaves it
+        rng, reference_rng = round_rng(seed, params.seed, 1), round_rng(seed, params.seed, 1)
+        assert repr(generate_sample(params, rng)) == repr(
+            scalar_reference_sample(params, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestSampleShape:
