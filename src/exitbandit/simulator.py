@@ -52,7 +52,7 @@ _CORRUPT_PROB = (0.05, 0.25)
 
 # rounds seeded per vectorized pass, and rounds drawn and transformed per pass
 _BLOCK_ROUNDS = 512
-_TRANSFORM_ROUNDS = 128
+_PASS_ROUNDS = 128
 
 # numpy.random.SeedSequence's pool size and hash constants (bit_generator.pyx)
 _POOL_SIZE = 4
@@ -189,12 +189,10 @@ def _seed_words(stream_seed: int, params_seed: int, first: int, count: int) -> n
 
 
 def _pcg64_states(words: np.ndarray) -> list[dict]:
-    """PCG64's full state, per `_seed_words` column, as its state setter takes it
-    (has_uint32 = 0 clears the 32-bit buffer a previous round may have left).
-
-    The 8 words are generate_state(4, np.uint64) in little-endian pairs:
-    initstate = (u0 << 64) | u1 and initseq = (u2 << 64) | u3.
-    """
+    """PCG64's full state dict per `_seed_words` column (has_uint32 = 0 clears
+    the 32-bit buffer a previous round may have left). The 8 words are
+    generate_state(4, np.uint64) in little-endian pairs: initstate =
+    (u0 << 64) | u1 and initseq = (u2 << 64) | u3."""
     u = words.astype(np.uint64)
     u = (u[0::2] | u[1::2] << np.uint64(32)).astype(object)
     inc = (u[2] << 65 | u[3] << 1 | 1) & _MASK128
@@ -226,9 +224,8 @@ def _block_seeded_samples(schedule, num_rounds, seed) -> Iterator[SampleOutcomes
             # a block stays inside one segment and one value of t >> 32
             count = min(stop, first + _BLOCK_ROUNDS, ((first >> 32) + 1) << 32) - first
             states = _pcg64_states(_seed_words(seed, params.seed, first, count))
-            for lo in range(0, count, _TRANSFORM_ROUNDS):
-                part = states[lo:lo + _TRANSFORM_ROUNDS]
-                yield from _outcomes(params, *_draw_rows(params, rng, part))
+            for lo in range(0, count, _PASS_ROUNDS):
+                yield from _outcomes(params, *_draw_rows(params, rng, states[lo:lo + _PASS_ROUNDS]))
             first += count
 
 
