@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .env import ThresholdGrid
+from .env import SampleBlock, ThresholdGrid
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
-from .exits import Criterion, ExitDecision, ExitScan, decide  # noqa: F401
+from .exits import Criterion, ExitDecision, ExitScan, block_rounds, decide  # noqa: F401
 
 
 class RewardVariant(enum.Enum):
@@ -247,8 +247,8 @@ def run_policy(
 
     policy must expose select(round_number) -> threshold-or-None and
     observe(arm, reward_value). A None arm forces a final-layer exit.
-    samples may be any iterable (a generator streams without materializing);
-    num_rounds, when given, truncates after that many samples.
+    samples is a SampleBlock or any iterable of samples (a generator streams
+    without materializing); num_rounds, when given, truncates after that many samples.
     """
     traces = run_many(
         [policy],
@@ -276,7 +276,8 @@ def run_many(
 ) -> list[RunTrace]:
     """Run several policies in lockstep over one shared sample stream.
 
-    Every policy sees the identical samples (common random numbers), so
+    samples is a SampleBlock or any iterable of samples. Every policy sees
+    the identical samples (common random numbers), so
     cross-policy comparisons are paired. Each round's layers are scored at
     most once, however many policies play (see ExitScan). Returns one
     RunTrace per policy, in input order.
@@ -302,13 +303,18 @@ def run_many(
     reliab: list[list[float]] = [[] for _ in range(k)]
 
     layer_cost = reward_params.layer_cost
+    # per round: the sample's ExitScan and the columns read at its exits
+    if isinstance(samples, SampleBlock):
+        rounds = block_rounds(samples, criterion)
+    else:
+        rounds = ((ExitScan(s.confidence, s.reliability_risk, criterion), s.correct_prob,
+                   s.realized_correct, s.reliability_risk) for s in samples)
     if num_rounds is not None:
-        samples = itertools.islice(samples, num_rounds)
+        rounds = itertools.islice(rounds, num_rounds)
     t = 0
-    for t, sample in enumerate(samples, start=1):
-        if sample.num_layers != num_layers:
+    for t, (scan, cp, real, risk) in enumerate(rounds, start=1):
+        if len(cp) != num_layers:
             raise ValueError("stream depth does not match reward_params.num_layers")
-        scan = ExitScan(sample, criterion)
         for j, policy in enumerate(policies):
             arm = policy.select(t)
             layer, s = scan.exit(arm)
@@ -318,9 +324,9 @@ def run_many(
             exit_layers[j].append(layer)
             scores[j].append(s)
             rewards[j].append(r)
-            cps[j].append(sample.correct_prob[layer - 1])
-            realized[j].append(sample.realized_correct[layer - 1])
-            reliab[j].append(1.0 - sample.reliability_risk[layer - 1])
+            cps[j].append(cp[layer - 1])
+            realized[j].append(real[layer - 1])
+            reliab[j].append(1.0 - risk[layer - 1])
     if t == 0:
         raise ValueError("empty sample stream")
 

@@ -8,13 +8,16 @@ ground truth that regret computations use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
 import numpy as np
 
-from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy
-from .env import SampleOutcomes, ThresholdGrid
+# run_policy stays in this namespace: the benchmark's traced run wraps
+# baselines.run_policy
+from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy  # noqa: F401
+from .env import SampleBlock, ThresholdGrid
 from .exits import Criterion, exit_columns
 
 
@@ -74,18 +77,40 @@ def replay_arm(
     seed: Optional[int] = None,
     num_rounds: Optional[int] = None,
 ) -> RunTrace:
-    """Trace of playing one fixed arm over the whole stream."""
+    """Trace of playing one fixed arm over the whole stream (or its first
+    num_rounds rounds): the trace run_policy(FixedPolicy(tau), ...) records,
+    gathered from the stream's exit table."""
+    FixedPolicy(tau)  # the same check of tau
     if grid is None:
         grid = ThresholdGrid((tau,))
-    return run_policy(
-        FixedPolicy(tau), samples, params, criterion,
-        grid=grid, label=f"fixed{tau:g}", seed=seed, num_rounds=num_rounds,
+    if criterion is None:
+        criterion = natural_criterion(params.variant)
+    if isinstance(samples, SampleBlock):
+        block = samples if num_rounds is None else samples.head(num_rounds)
+    else:
+        block = SampleBlock.from_samples(itertools.islice(samples, num_rounds))
+    (layers, at_exit), = exit_columns(block, (tau,), criterion, params.num_layers)
+    rows, cols = np.arange(len(block)), layers - 1
+    return RunTrace(
+        policy=f"fixed{tau:g}",
+        arms=[tau] * len(block),
+        exit_layers=layers.astype(np.int32),
+        scores=at_exit,
+        rewards=exit_reward(at_exit, layers, params.layer_cost),
+        correct_probs=block.correct_prob[rows, cols],
+        realized=block.realized_correct[rows, cols],
+        reliabilities=1.0 - block.reliability_risk[rows, cols],
+        grid=grid,
+        reward_params=params,
+        criterion=criterion,
+        num_layers=params.num_layers,
+        seed=seed,
     )
 
 
 def oracle_best_arm(
     grid: ThresholdGrid,
-    samples: list[SampleOutcomes],
+    samples,
     params: RewardParams,
     criterion: Optional[Criterion] = None,
 ) -> tuple[float, dict[float, float]]:

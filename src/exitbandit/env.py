@@ -149,6 +149,74 @@ class SampleOutcomes:
         return len(self.confidence)
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBlock:
+    """A whole stream as read-only (T, L) columns: row t is round t + 1.
+
+    The columns are SampleOutcomes' first four, stacked (features are not
+    kept). The block is validated once, as a whole, and owns its arrays:
+    they are set read-only.
+    """
+
+    confidence: np.ndarray
+    reliability_risk: np.ndarray
+    correct_prob: np.ndarray
+    realized_correct: np.ndarray
+
+    def __post_init__(self):
+        shape = self.confidence.shape
+        if len(shape) != 2:
+            raise ValueError("block columns must be (rounds, layers) arrays")
+        if shape[1] < 2:
+            raise ValueError("a sample needs at least 2 layers")
+        if shape[0] < 1:
+            raise ValueError("empty sample stream")
+        if not (self.reliability_risk.shape == self.correct_prob.shape
+                == self.realized_correct.shape == shape):
+            raise ValueError("per-layer columns differ in shape")
+        if self.realized_correct.dtype != np.bool_:
+            raise ValueError("realized_correct must be a bool array")
+        for name in ("confidence", "reliability_risk", "correct_prob"):
+            x = getattr(self, name)
+            if x.dtype != np.float64:
+                raise ValueError(f"{name} must be a float64 array")
+            bad = ~((x >= 0.0) & (x <= 1.0))  # also catches NaN
+            if bad.any():
+                raise ValueError(f"{name}={float(x[bad][0])!r} outside [0, 1]")
+        for x in (self.confidence, self.reliability_risk, self.correct_prob,
+                  self.realized_correct):
+            x.flags.writeable = False
+
+    @classmethod
+    def from_samples(cls, samples) -> "SampleBlock":
+        """Stack an iterable of SampleOutcomes of one depth."""
+        samples = list(samples)
+        if not samples:
+            raise ValueError("empty sample stream")
+        if any(s.num_layers != samples[0].num_layers for s in samples):
+            raise ValueError("stream depth differs between samples")
+        return cls(np.array([s.confidence for s in samples], dtype=np.float64),
+                   np.array([s.reliability_risk for s in samples], dtype=np.float64),
+                   np.array([s.correct_prob for s in samples], dtype=np.float64),
+                   np.array([s.realized_correct for s in samples], dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    @property
+    def num_layers(self) -> int:
+        return self.confidence.shape[1]
+
+    def head(self, num_rounds: int) -> "SampleBlock":
+        """The first num_rounds rows (all of them if there are fewer)."""
+        if num_rounds < 0:
+            raise ValueError("num_rounds must be >= 0")
+        if num_rounds >= len(self):
+            return self
+        return SampleBlock(self.confidence[:num_rounds], self.reliability_risk[:num_rounds],
+                           self.correct_prob[:num_rounds], self.realized_correct[:num_rounds])
+
+
 @dataclass(frozen=True)
 class ShiftSchedule:
     """Piecewise-constant generator parameters over the round axis.

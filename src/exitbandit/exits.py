@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env import SampleOutcomes
+from .env import SampleBlock, SampleOutcomes
 
 
 class Criterion(enum.Enum):
@@ -102,18 +103,33 @@ class ExitScan:
     far needs, and each at most once. The running max of the scores scored so
     far (final layer excluded) is kept, so a threshold it already clears is
     resolved by bisection. exit(threshold) returns decide's (exit_layer,
-    score_at_exit); threshold None exits at the final layer.
+    score_at_exit); threshold None exits at the final layer. The sample is
+    given as its confidence and reliability_risk columns, or already scored
+    (see scored).
     """
 
-    __slots__ = ("_conf", "_risk", "_score", "_scores", "_prefix_max", "_final")
+    __slots__ = ("_conf", "_risk", "_score", "_scores", "_prefix_max", "_final", "_layers")
 
-    def __init__(self, sample: SampleOutcomes, criterion: Criterion = Criterion.PRODUCT):
-        self._conf = sample.confidence
-        self._risk = sample.reliability_risk
+    def __init__(self, confidence, reliability_risk, criterion: Criterion = Criterion.PRODUCT):
+        self._conf = confidence
+        self._risk = reliability_risk
         self._score = _scorer(criterion)
         self._scores: list[float] = []
         self._prefix_max: list[float] = []
         self._final = None
+        self._layers = len(confidence)
+
+    @classmethod
+    def scored(cls, prefix_max: list, final_score: float) -> "ExitScan":
+        """A scan with every layer scored: one _exit_table row, as the running
+        max over layers 1..L-1 and the final-layer score. The running max
+        stands in for the scores, since at an early exit the two are equal."""
+        scan = cls.__new__(cls)
+        scan._conf = scan._risk = scan._score = None
+        scan._scores = scan._prefix_max = prefix_max
+        scan._final = final_score
+        scan._layers = len(prefix_max) + 1
+        return scan
 
     def exit(self, threshold) -> tuple[int, float]:
         if threshold is not None:
@@ -124,7 +140,7 @@ class ExitScan:
                 return pos + 1, self._scores[pos]
             conf, risk, score, scores = self._conf, self._risk, self._score, self._scores
             best = prefix_max[-1] if prefix_max else -math.inf
-            for pos in range(len(scores), len(conf) - 1):
+            for pos in range(len(scores), self._layers - 1):
                 s = score(conf[pos], risk[pos])
                 scores.append(s)
                 if s > best:
@@ -134,42 +150,54 @@ class ExitScan:
                     return pos + 1, s
         if self._final is None:
             self._final = self._score(self._conf[-1], self._risk[-1])
-        return len(self._conf), self._final
+        return self._layers, self._final
 
 
-_BLOCK_ROWS = 256
+# rows of a SampleBlock scored and converted to Python floats per step of block_rounds
+_ROW_CHUNK = 256
+
+
+def _exit_table(confidence, reliability_risk, criterion: Criterion) -> np.ndarray:
+    """(T, L) table whose row t holds the running max of sample t's scores
+    over layers 1..L-1, then its final-layer score."""
+    # a copy: the confidence criterion's score is the confidence array itself
+    table = np.array(_scorer(criterion)(confidence, reliability_risk))
+    running_max = table[:, :-1]
+    np.maximum.accumulate(running_max, axis=1, out=running_max)
+    return table
+
+
+def block_rounds(block: SampleBlock, criterion: Criterion):
+    """Per round of the block: (ExitScan, correct_prob, realized_correct,
+    reliability_risk), the columns as lists. Rows are scored in numpy and
+    converted a chunk at a time, lazily."""
+    def chunk(lo):
+        rows = slice(lo, lo + _ROW_CHUNK)
+        table = _exit_table(block.confidence[rows], block.reliability_risk[rows], criterion)
+        return zip(map(ExitScan.scored, table[:, :-1].tolist(), table[:, -1].tolist()),
+                   block.correct_prob[rows].tolist(), block.realized_correct[rows].tolist(),
+                   block.reliability_risk[rows].tolist())
+    return itertools.chain.from_iterable(map(chunk, range(0, len(block), _ROW_CHUNK)))
 
 
 def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
                  num_layers=None):
     """Batch form of decide over a whole stream, one threshold at a time.
 
+    samples is a SampleBlock or an iterable of samples (stacked into one).
     Yields (exit_layers, scores_at_exit), two length-T arrays, per threshold
-    in order. Every sample must have num_layers layers (default: the first
-    sample's). Each layer is scored once, into a (T, L) table whose row t
-    holds the running max of sample t's scores over layers 1..L-1, then its
-    final-layer score. A row's exit is the number of running-max entries
-    below the threshold; at an early exit the running max is the exit score.
+    in order. The stream must have num_layers layers (default: its own).
+    Each layer is scored once, into the _exit_table of running maxima. A
+    row's exit is the number of running-max entries below the threshold; at
+    an early exit the running max is the exit score.
     """
-    score = _scorer(criterion)
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample stream")
-    if num_layers is None:
-        num_layers = samples[0].num_layers
-    if any(s.num_layers != num_layers for s in samples):
+    if not isinstance(samples, SampleBlock):
+        samples = SampleBlock.from_samples(samples)
+    if num_layers is not None and samples.num_layers != num_layers:
         raise ValueError("stream depth does not match num_layers")
 
-    # scored in row blocks so the temporaries stay small next to the table
-    table = np.empty((len(samples), num_layers))
-    for start in range(0, len(samples), _BLOCK_ROWS):
-        block = samples[start:start + _BLOCK_ROWS]
-        table[start:start + len(block)] = score(
-            np.array([s.confidence for s in block], dtype=np.float64),
-            np.array([s.reliability_risk for s in block], dtype=np.float64),
-        )
+    table = _exit_table(samples.confidence, samples.reliability_risk, criterion)
     running_max = table[:, :-1]
-    np.maximum.accumulate(running_max, axis=1, out=running_max)
     rows = np.arange(len(samples))
     for threshold in thresholds:
         _check_threshold(threshold)

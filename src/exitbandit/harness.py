@@ -60,7 +60,9 @@ from .env import (
 )
 from .exits import Criterion
 from .metrics import RunSummary, attach_regret, empirical_risk, summarize
-from .simulator import stream
+# train_reliability reads a list stream; the benchmark's traced run also wraps
+# harness.stream
+from .simulator import sample_block, stream
 
 TRACE_HEADER = ("round", "arm", "exit_layer", "score", "reward",
                 "correct_prob", "correct", "cum_regret")
@@ -397,8 +399,11 @@ class SeedResult:
 
 
 def run_single(config: ExperimentConfig, seed: int) -> SeedResult:
-    """One seeded replication: stream, policy run, oracle replay, metrics."""
-    samples = stream(config.schedule, config.num_rounds, seed)
+    """One seeded replication: stream, policy run, oracle replay, metrics.
+
+    The stream is generated once, as a SampleBlock, and read by all three.
+    """
+    samples = sample_block(config.schedule, config.num_rounds, seed)
     params = config.reward_params()
     criterion = config.resolved_criterion
 
@@ -455,20 +460,25 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     """Emit the per-round trace; requires an attached regret curve."""
     if trace.cum_regret is None:
         raise ValueError("attach a regret curve before writing the trace")
+    arms = trace.arms
+    layers, scores, rewards, cps, realized, cum_regret = (
+        column.tolist() for column in (trace.exit_layers, trace.scores, trace.rewards,
+                                       trace.correct_probs, trace.realized, trace.cum_regret))
     with _replacing(Path(path)) as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
+        # indexed by position, so a column shorter than the trace fails (IndexError)
         for i in range(len(trace)):
-            arm = trace.arms[i]
+            arm = arms[i]
             w.writerow((
                 i + 1,
                 FINAL_ARM_TOKEN if arm is None else _fmt(arm),
-                int(trace.exit_layers[i]),
-                _fmt(trace.scores[i]),
-                _fmt(trace.rewards[i]),
-                _fmt(trace.correct_probs[i]),
-                1 if trace.realized[i] else 0,
-                _fmt(trace.cum_regret[i]),
+                layers[i],
+                _fmt(scores[i]),
+                _fmt(rewards[i]),
+                _fmt(cps[i]),
+                1 if realized[i] else 0,
+                _fmt(cum_regret[i]),
             ))
 
 

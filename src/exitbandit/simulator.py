@@ -32,10 +32,17 @@ numpy's SIMD exp can differ from it in the last ulp. NumPy's RNG policy (NEP
 against SeedSequence and PCG64 themselves. Identical (schedule, num_rounds,
 seed) inputs therefore yield bit-identical streams, and each round is
 reproducible in isolation (`generate_sample` is the one-row case).
+
+Both stream forms come from the same transformed arrays: `iter_samples` and
+`stream` build one SampleOutcomes per row, and `sample_block` concatenates
+the confidence, risk, correct-prob and realized arrays into one read-only
+SampleBlock, equal to the stacked stream bit for bit. A shorter stream is a
+prefix of a longer one in either form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -44,7 +51,7 @@ import numpy as np
 # active_params stays in this namespace: the benchmark's traced run wraps
 # simulator.active_params
 from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params  # noqa: F401
-from .env import require_integer
+from .env import SampleBlock, require_integer
 
 # a corrupted layer's confidence and correct_prob are uniform on these ranges
 _CORRUPT_CONF = (0.7, 0.95)
@@ -99,9 +106,10 @@ def _draw_rows(params, rng, states) -> tuple:
     return Z, U, F, corrupted
 
 
-def _outcomes(params, Z, U, F, corrupted) -> Iterator[SampleOutcomes]:
-    """Transform rows of draws into one SampleOutcomes per row. Noise is scaled
-    here, so sigma = 0 draws as much as any sigma (negative draws become -0.0)."""
+def _columns(params, Z, U, F, corrupted) -> tuple:
+    """Transform rows of draws into (B, L) confidence, reliability_risk,
+    correct_prob, realized and feature arrays. Noise is scaled here, so
+    sigma = 0 draws as much as any sigma (negative draws become -0.0)."""
     L, sigma, rs = params.num_layers, params.confidence_noise, params.reliability_signal
     depth = np.arange(1, L + 1) / L
     x = params.depth_gain * depth - (params.difficulty_spread * Z[:, :1]
@@ -116,8 +124,15 @@ def _outcomes(params, Z, U, F, corrupted) -> Iterator[SampleOutcomes]:
         cols = np.array(layers) - 1
         conf[rows, cols], cp[rows, cols], realized[rows, cols] = c_conf, c_cp, False
     feat = cp * rs + (1.0 - rs) * F
-    depth = depth.tolist()  # every sample's features share these floats
-    for c, k, p, b, f in zip(conf.tolist(), (1.0 - _unit_clamp(feat)).tolist(), cp.tolist(),
+    return conf, 1.0 - _unit_clamp(feat), cp, realized, feat
+
+
+def _samples(columns) -> Iterator[SampleOutcomes]:
+    """One SampleOutcomes per row of a pass's _columns arrays."""
+    conf, risk, cp, realized, feat = columns
+    L = conf.shape[1]
+    depth = (np.arange(1, L + 1) / L).tolist()  # every sample's features share these floats
+    for c, k, p, b, f in zip(conf.tolist(), risk.tolist(), cp.tolist(),
                              realized.tolist(), feat.tolist()):
         yield SampleOutcomes(tuple(c), tuple(k), tuple(p), tuple(b), tuple(zip(c, depth, f)))
 
@@ -125,7 +140,7 @@ def _outcomes(params, Z, U, F, corrupted) -> Iterator[SampleOutcomes]:
 def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> SampleOutcomes:
     """Draw one sample's per-layer outcomes from the given RNG state: a one-row
     block (setting rng to its own state changes nothing)."""
-    return next(_outcomes(params, *_draw_rows(params, rng, [rng.bit_generator.state])))
+    return next(_samples(_columns(params, *_draw_rows(params, rng, [rng.bit_generator.state]))))
 
 
 def round_rng(stream_seed: int, params_seed: int, round_index: int) -> np.random.Generator:
@@ -201,21 +216,17 @@ def _pcg64_states(words: np.ndarray) -> list[dict]:
              "has_uint32": 0, "uinteger": 0} for s, i in zip(state.tolist(), inc.tolist())]
 
 
-def iter_samples(schedule: ShiftSchedule, num_rounds: int, seed: int) -> Iterator[SampleOutcomes]:
-    """Lazily yield samples for rounds 1..num_rounds under the schedule.
-
-    The arguments are checked when called, before the first sample is drawn.
-    """
+def _check_stream_args(num_rounds, seed) -> None:
     require_integer("num_rounds", num_rounds)
     require_integer("seed", seed)
     if num_rounds < 1:
         raise ValueError("num_rounds must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    return _block_seeded_samples(schedule, num_rounds, seed)
 
 
-def _block_seeded_samples(schedule, num_rounds, seed) -> Iterator[SampleOutcomes]:
+def _passes(schedule, num_rounds, seed) -> Iterator[tuple]:
+    """_columns of rounds 1..num_rounds, one pass of rows at a time."""
     rng = np.random.Generator(np.random.PCG64(0))
     stops = [start for start, _ in schedule.segments[1:]] + [num_rounds + 1]
     for (first, params), stop in zip(schedule.segments, stops):
@@ -225,10 +236,26 @@ def _block_seeded_samples(schedule, num_rounds, seed) -> Iterator[SampleOutcomes
             count = min(stop, first + _BLOCK_ROUNDS, ((first >> 32) + 1) << 32) - first
             states = _pcg64_states(_seed_words(seed, params.seed, first, count))
             for lo in range(0, count, _PASS_ROUNDS):
-                yield from _outcomes(params, *_draw_rows(params, rng, states[lo:lo + _PASS_ROUNDS]))
+                yield _columns(params, *_draw_rows(params, rng, states[lo:lo + _PASS_ROUNDS]))
             first += count
+
+
+def iter_samples(schedule: ShiftSchedule, num_rounds: int, seed: int) -> Iterator[SampleOutcomes]:
+    """Lazily yield samples for rounds 1..num_rounds under the schedule.
+
+    The arguments are checked when called, before the first sample is drawn.
+    """
+    _check_stream_args(num_rounds, seed)
+    return itertools.chain.from_iterable(map(_samples, _passes(schedule, num_rounds, seed)))
 
 
 def stream(schedule: ShiftSchedule, num_rounds: int, seed: int) -> list[SampleOutcomes]:
     """Materialize the full sample stream (replayable across policies/arms)."""
     return list(iter_samples(schedule, num_rounds, seed))
+
+
+def sample_block(schedule: ShiftSchedule, num_rounds: int, seed: int) -> SampleBlock:
+    """The same stream as one SampleBlock: stream's first four fields, stacked."""
+    _check_stream_args(num_rounds, seed)
+    passes = [columns[:4] for columns in _passes(schedule, num_rounds, seed)]
+    return SampleBlock(*(np.concatenate(column) for column in zip(*passes)))

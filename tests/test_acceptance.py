@@ -52,6 +52,7 @@ from exitbandit.reliability import (
     loss_interference_experiment,
     objective_gradient,
 )
+from exitbandit.simulator import sample_block
 
 G = default_grid()
 RP = RewardParams(lam=0.01 / 12, num_layers=12, variant=RewardVariant.PRODUCT_PENALIZED)
@@ -269,20 +270,23 @@ def test_criterion_07_joint_score_pareto(capsys):
     # exploration toward shallower exits. The speedup is therefore small but
     # strict: an inert penalty replays the plain run exactly (ratio 1.0 on
     # common random numbers) and a sign-flipped one runs deeper (< 1.0)
+    # Each seed's stream is drawn once, as a block both variants play; each
+    # variant's sums still run over the seeds in order.
     sch = ShiftSchedule.constant(DEFAULTS)
-    results = {}
-    for variant in (RewardVariant.PRODUCT_PENALIZED, RewardVariant.PRODUCT):
-        params = RewardParams(lam=RP.lam, num_layers=12, variant=variant)
-        risk_sum = exit_sum = 0.0
-        pulls = Counter()
-        for s in range(10):
-            tr = run(G, iter_samples(sch, 50_000, seed=400 + s), params,
-                     num_rounds=50_000, seed=400 + s)
-            risk_sum += 1.0 - tr.correct_probs.mean()
-            exit_sum += tr.exit_layers.mean()
-            pulls.update(per_arm_pulls(tr))
-        top_arm = pulls.most_common(1)[0][0]
-        results[variant] = (risk_sum / 10, 12.0 / (exit_sum / 10), top_arm)
+    variants = (RewardVariant.PRODUCT_PENALIZED, RewardVariant.PRODUCT)
+    params = {v: RewardParams(lam=RP.lam, num_layers=12, variant=v) for v in variants}
+    risk_sum = dict.fromkeys(variants, 0.0)
+    exit_sum = dict.fromkeys(variants, 0.0)
+    pulls = {v: Counter() for v in variants}
+    for s in range(10):
+        block = sample_block(sch, 50_000, seed=400 + s)
+        for variant in variants:
+            tr = run(G, block, params[variant], num_rounds=50_000, seed=400 + s)
+            risk_sum[variant] += 1.0 - tr.correct_probs.mean()
+            exit_sum[variant] += tr.exit_layers.mean()
+            pulls[variant].update(per_arm_pulls(tr))
+    results = {v: (risk_sum[v] / 10, 12.0 / (exit_sum[v] / 10), pulls[v].most_common(1)[0][0])
+               for v in variants}
     full_risk, full_speed, full_top = results[RewardVariant.PRODUCT_PENALIZED]
     prod_risk, prod_speed, prod_top = results[RewardVariant.PRODUCT]
     slack = RP.lam * 12

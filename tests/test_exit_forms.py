@@ -3,9 +3,10 @@
 decide (one sample, one threshold) is the reference. ExitScan answers many
 thresholds on one sample, run_many plays several policies on it per round,
 and exit_columns (directly and via oracle_best_arm) answers a whole stream
-one threshold at a time. Samples are drawn so that scores often equal a
-threshold exactly, thresholds include 1.0, and policies repeat each other's
-arms or force the final layer (arm None).
+one threshold at a time. replay_arm gathers one exit_columns column and must
+record what the runner records for FixedPolicy. Samples are drawn so that
+scores often equal a threshold exactly, thresholds include 1.0, and policies
+repeat each other's arms or force the final layer (arm None).
 """
 
 import itertools
@@ -19,6 +20,7 @@ from conftest import make_sample
 from exitbandit import (
     Criterion,
     ExitDecision,
+    FixedPolicy,
     GeneratorParams,
     RewardParams,
     RewardVariant,
@@ -30,8 +32,10 @@ from exitbandit import (
     replay_arm,
     reward,
     run_many,
+    run_policy,
     stream,
 )
+from exitbandit.env import SampleBlock
 from exitbandit.exits import ExitScan, exit_columns, layer_score
 
 THRESHOLDS = (0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
@@ -104,7 +108,7 @@ class TestExitScan:
         num_layers = data.draw(st.integers(min_value=2, max_value=8))
         sample = data.draw(samples_of_depth(num_layers, max_size=1))[0]
         asks = data.draw(st.lists(st.sampled_from(THRESHOLDS + (None,)), max_size=10))
-        scan = ExitScan(sample, criterion)
+        scan = ExitScan(sample.confidence, sample.reliability_risk, criterion)
         for tau in asks:
             d = reference_decision(sample, tau, criterion)
             assert scan.exit(tau) == (d.exit_layer, d.score_at_exit)
@@ -112,7 +116,8 @@ class TestExitScan:
     def test_each_layer_scored_at_most_once(self):
         calls = []
         confidences = (0.2, 0.55, 0.7, 0.95, 0.4)
-        scan = ExitScan(make_sample(confidences))
+        sample = make_sample(confidences)
+        scan = ExitScan(sample.confidence, sample.reliability_risk)
         scan._score = lambda conf, risk: calls.append(conf) or conf
         for tau in (0.5, 0.9, 0.6, 1.0, None, 0.25, 1.0, None):
             scan.exit(tau)
@@ -120,7 +125,7 @@ class TestExitScan:
 
     def test_out_of_range_threshold_raises_like_decide(self):
         sample = make_sample([0.9, 0.9])
-        scan = ExitScan(sample)
+        scan = ExitScan(sample.confidence, sample.reliability_risk)
         scan.exit(0.5)  # the prefix max (0.9) now clears anything up to 0.9
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="threshold"):
@@ -130,7 +135,7 @@ class TestExitScan:
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
-            ExitScan(make_sample([0.9, 0.9]), "product")
+            ExitScan((0.9, 0.9), (0.0, 0.0), "product")
 
 
 class TestRunManyMatchesDecide:
@@ -140,22 +145,24 @@ class TestRunManyMatchesDecide:
     def test_traces_equal_decide_and_reward_arm_by_arm(self, case, criterion, variant, lam):
         num_layers, samples, scripts = case
         params = RewardParams(lam=lam, num_layers=num_layers, variant=variant)
-        policies = [ScriptedPolicy(arms) for arms in scripts]
-        traces = run_many(policies, samples, params, criterion, grid=GRID)
-        for policy, trace in zip(policies, traces):
-            decisions = [reference_decision(s, arm, criterion)
-                         for s, arm in zip(samples, policy.arms)]
-            at_exit = [(s, d.exit_layer - 1) for s, d in zip(samples, decisions)]
-            expected_rewards = [reward(d, params) for d in decisions]
-            assert trace.arms == policy.arms
-            assert trace.exit_layers.tolist() == [d.exit_layer for d in decisions]
-            assert trace.scores.tolist() == [d.score_at_exit for d in decisions]
-            assert trace.rewards.tolist() == expected_rewards
-            assert policy.observed == list(zip(policy.arms, expected_rewards))
-            assert trace.correct_probs.tolist() == [s.correct_prob[i] for s, i in at_exit]
-            assert trace.realized.tolist() == [s.realized_correct[i] for s, i in at_exit]
-            assert trace.reliabilities.tolist() == [1.0 - s.reliability_risk[i]
-                                                    for s, i in at_exit]
+        # a block is scored up front (ExitScan.scored), a list lazily
+        for source in (samples, SampleBlock.from_samples(samples)):
+            policies = [ScriptedPolicy(arms) for arms in scripts]
+            traces = run_many(policies, source, params, criterion, grid=GRID)
+            for policy, trace in zip(policies, traces):
+                decisions = [reference_decision(s, arm, criterion)
+                             for s, arm in zip(samples, policy.arms)]
+                at_exit = [(s, d.exit_layer - 1) for s, d in zip(samples, decisions)]
+                expected_rewards = [reward(d, params) for d in decisions]
+                assert trace.arms == policy.arms
+                assert trace.exit_layers.tolist() == [d.exit_layer for d in decisions]
+                assert trace.scores.tolist() == [d.score_at_exit for d in decisions]
+                assert trace.rewards.tolist() == expected_rewards
+                assert policy.observed == list(zip(policy.arms, expected_rewards))
+                assert trace.correct_probs.tolist() == [s.correct_prob[i] for s, i in at_exit]
+                assert trace.realized.tolist() == [s.realized_correct[i] for s, i in at_exit]
+                assert trace.reliabilities.tolist() == [1.0 - s.reliability_risk[i]
+                                                        for s, i in at_exit]
 
 
 class TestOracleMatchesReplay:
@@ -188,6 +195,36 @@ class TestOracleMatchesReplay:
             oracle_best_arm(GRID, samples, RewardParams(lam=0.0, num_layers=5))
         with pytest.raises(ValueError, match="empty"):
             oracle_best_arm(GRID, [], RewardParams(lam=0.0, num_layers=4))
+
+
+TRACE_ARRAYS = ("exit_layers", "scores", "rewards", "correct_probs", "realized",
+                "reliabilities")
+
+
+class TestReplayMatchesRunner:
+    # replay_arm gathers from exit_columns, as the oracle does, so the runner
+    # playing FixedPolicy(tau) is its independent reference
+    @given(data=st.data(), lam=LAMBDAS)
+    @settings(max_examples=40, deadline=None)
+    def test_replay_arm_equals_fixed_policy_run(self, data, lam):
+        num_layers = data.draw(st.integers(min_value=2, max_value=6))
+        samples = data.draw(samples_of_depth(num_layers, max_size=30))
+        num_rounds = data.draw(st.none() | st.integers(min_value=1, max_value=len(samples) + 2))
+        block = SampleBlock.from_samples(samples)
+        for criterion, variant in itertools.product((*Criterion, None), RewardVariant):
+            params = RewardParams(lam=lam, num_layers=num_layers, variant=variant)
+            for tau in THRESHOLDS:
+                want = run_policy(FixedPolicy(tau), samples, params, criterion, grid=GRID,
+                                  label=f"fixed{tau:g}", seed=1, num_rounds=num_rounds)
+                for source in (samples, block):
+                    got = replay_arm(tau, source, params, criterion, grid=GRID, seed=1,
+                                     num_rounds=num_rounds)
+                    assert (got.policy, got.arms) == (want.policy, want.arms)
+                    assert (got.criterion, got.grid, got.seed) == (want.criterion, want.grid, 1)
+                    for name in TRACE_ARRAYS:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype
+                        assert a.tobytes() == b.tobytes(), name
 
 
 class TestExitColumns:
