@@ -247,8 +247,9 @@ def run_policy(
 
     policy must expose select(round_number) -> threshold-or-None and
     observe(arm, reward_value). A None arm forces a final-layer exit.
-    samples is a SampleBlock or any iterable of samples (a generator streams
-    without materializing); num_rounds, when given, truncates after that many samples.
+    samples is a SampleBlock or any iterable of samples (a generator
+    streams without materializing); num_rounds, when given, truncates after
+    that many samples.
     """
     traces = run_many(
         [policy],
@@ -277,10 +278,10 @@ def run_many(
     """Run several policies in lockstep over one shared sample stream.
 
     samples is a SampleBlock or any iterable of samples. Every policy sees
-    the identical samples (common random numbers), so
-    cross-policy comparisons are paired. Each round's layers are scored at
-    most once, however many policies play (see ExitScan). Returns one
-    RunTrace per policy, in input order.
+    the identical samples (common random numbers), so cross-policy
+    comparisons are paired. Each round's layers are scored at most once,
+    however many policies play (see ExitScan). Returns one RunTrace per
+    policy, in input order.
     """
     if criterion is None:
         criterion = natural_criterion(reward_params.variant)
