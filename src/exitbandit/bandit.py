@@ -16,6 +16,7 @@ dominates at ten arms.
 
 from __future__ import annotations
 
+import array
 import enum
 import itertools
 import math
@@ -27,7 +28,7 @@ import numpy as np
 from .env import SampleBlock, ThresholdGrid
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
-from .exits import Criterion, ExitDecision, ExitScan, block_rounds, decide  # noqa: F401
+from .exits import Criterion, ExitDecision, block_rounds, decide, exit_at, scored_row  # noqa: F401
 
 
 class RewardVariant(enum.Enum):
@@ -279,9 +280,10 @@ def run_many(
 
     samples is a SampleBlock or any iterable of samples. Every policy sees
     the identical samples (common random numbers), so cross-policy
-    comparisons are paired. Each round's layers are scored at most once,
-    however many policies play (see ExitScan). Returns one RunTrace per
-    policy, in input order.
+    comparisons are paired. Each round's layers are scored once into an
+    exit-table row, however many policies play (see exits.exit_at). An
+    iterable is read one sample per round, after every policy has played the
+    round before. Returns one RunTrace per policy, in input order.
     """
     if criterion is None:
         criterion = natural_criterion(reward_params.variant)
@@ -294,62 +296,83 @@ def run_many(
         raise ValueError("pass grid= for policies that do not carry one")
     num_layers = reward_params.num_layers
 
-    k = len(policies)
-    arms: list[list] = [[] for _ in range(k)]
-    exit_layers: list[list[int]] = [[] for _ in range(k)]
-    scores: list[list[float]] = [[] for _ in range(k)]
-    rewards: list[list[float]] = [[] for _ in range(k)]
-    cps: list[list[float]] = [[] for _ in range(k)]
-    realized: list[list[bool]] = [[] for _ in range(k)]
-    reliab: list[list[float]] = [[] for _ in range(k)]
+    # per policy: the policy, then its arms, exit layers, scores and rewards
+    tracks = [(policy, [], [], [], []) for policy in policies]
 
     layer_cost = reward_params.layer_cost
-    # per round: the sample's ExitScan and the columns read at its exits
+    # per round: the sample's exit-table row; the columns read at the exits
+    # are gathered after the loop
     if isinstance(samples, SampleBlock):
-        rounds = block_rounds(samples, criterion)
-    else:
-        rounds = ((ExitScan(s.confidence, s.reliability_risk, criterion), s.correct_prob,
-                   s.realized_correct, s.reliability_risk) for s in samples)
-    if num_rounds is not None:
-        rounds = itertools.islice(rounds, num_rounds)
-    t = 0
-    for t, (scan, cp, real, risk) in enumerate(rounds, start=1):
-        if len(cp) != num_layers:
+        if samples.num_layers != num_layers:
             raise ValueError("stream depth does not match reward_params.num_layers")
-        for j, policy in enumerate(policies):
+        rows = block_rounds(samples, criterion)
+    else:
+        packed = (array.array("d"), bytearray(), array.array("d"))
+        rows = _packed_rows(samples, criterion, num_layers, *packed)
+    if num_rounds is not None:
+        rows = itertools.islice(rows, num_rounds)
+    t = 0
+    for t, (prefix_max, final_score) in enumerate(rows, start=1):
+        for policy, arms, exit_layers, scores, rewards in tracks:
             arm = policy.select(t)
-            layer, s = scan.exit(arm)
+            layer, s = exit_at(prefix_max, final_score, arm)
             r = exit_reward(s, layer, layer_cost)
             policy.observe(arm, r)
-            arms[j].append(arm)
-            exit_layers[j].append(layer)
-            scores[j].append(s)
-            rewards[j].append(r)
-            cps[j].append(cp[layer - 1])
-            realized[j].append(real[layer - 1])
-            reliab[j].append(1.0 - risk[layer - 1])
+            arms.append(arm)
+            exit_layers.append(layer)
+            scores.append(s)
+            rewards.append(r)
     if t == 0:
         raise ValueError("empty sample stream")
 
-    traces = []
-    for j, policy in enumerate(policies):
-        name = labels[j] if labels is not None else getattr(policy, "name", "policy")
-        traces.append(RunTrace(
-            policy=name,
-            arms=arms[j],
-            exit_layers=np.asarray(exit_layers[j], dtype=np.int32),
-            scores=np.asarray(scores[j]),
-            rewards=np.asarray(rewards[j]),
-            correct_probs=np.asarray(cps[j]),
-            realized=np.asarray(realized[j], dtype=bool),
-            reliabilities=np.asarray(reliab[j]),
-            grid=grids[j],
-            reward_params=reward_params,
-            criterion=criterion,
-            num_layers=num_layers,
-            seed=seed,
-        ))
-    return traces
+    if isinstance(samples, SampleBlock):
+        block = samples.head(t)
+        columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
+    else:
+        columns = [np.frombuffer(buf, dtype).reshape(t, num_layers)
+                   for buf, dtype in zip(packed, (np.float64, bool, np.float64))]
+    return [
+        gather_trace(labels[j] if labels is not None else getattr(policy, "name", "policy"),
+                     *track, columns, grid=grids[j], reward_params=reward_params,
+                     criterion=criterion, seed=seed)
+        for j, (policy, *track) in enumerate(tracks)
+    ]
+
+
+def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliability_risk):
+    """scored_row of each sample, pulled one at a time; its correct_prob,
+    realized_correct and reliability_risk are appended to the given buffers
+    as it is read, so the samples themselves are not kept."""
+    for sample in samples:
+        conf, risk = sample.confidence, sample.reliability_risk
+        if len(conf) != num_layers:
+            raise ValueError("stream depth does not match reward_params.num_layers")
+        correct_prob.extend(sample.correct_prob)
+        realized.extend(map(bool, sample.realized_correct))  # numpy bools have no __index__
+        reliability_risk.extend(risk)
+        yield scored_row(conf, risk, criterion)
+
+
+def gather_trace(policy: str, arms, exit_layers, scores, rewards, columns, *,
+                 grid: ThresholdGrid, reward_params: RewardParams, criterion: Criterion,
+                 seed: Optional[int]) -> RunTrace:
+    """The RunTrace of one policy's decisions over a stream.
+
+    columns are the stream's (T, L) correct_prob, realized_correct and
+    reliability_risk; the trace reads each at the exit layer of every round.
+    """
+    exit_layers = np.asarray(exit_layers, dtype=np.int32)
+    rows, cols = np.arange(len(exit_layers)), exit_layers - 1
+    correct_prob, realized, reliability_risk = columns
+    return RunTrace(
+        policy=policy, arms=arms, exit_layers=exit_layers,
+        scores=np.asarray(scores, dtype=np.float64),
+        rewards=np.asarray(rewards, dtype=np.float64),
+        correct_probs=correct_prob[rows, cols], realized=realized[rows, cols],
+        reliabilities=1.0 - reliability_risk[rows, cols],
+        grid=grid, reward_params=reward_params, criterion=criterion,
+        num_layers=reward_params.num_layers, seed=seed,
+    )
 
 
 class UcbPolicy:

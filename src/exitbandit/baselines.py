@@ -16,7 +16,9 @@ import numpy as np
 
 # run_policy stays in this namespace: the benchmark's traced run wraps
 # baselines.run_policy
-from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy  # noqa: F401
+from .bandit import (  # noqa: F401
+    RewardParams, RunTrace, exit_reward, gather_trace, natural_criterion, run_policy,
+)
 from .env import SampleBlock, ThresholdGrid
 from .exits import Criterion, exit_columns
 
@@ -90,22 +92,10 @@ def replay_arm(
     else:
         block = SampleBlock.from_samples(itertools.islice(samples, num_rounds))
     (layers, at_exit), = exit_columns(block, (tau,), criterion, params.num_layers)
-    rows, cols = np.arange(len(block)), layers - 1
-    return RunTrace(
-        policy=f"fixed{tau:g}",
-        arms=[tau] * len(block),
-        exit_layers=layers.astype(np.int32),
-        scores=at_exit,
-        rewards=exit_reward(at_exit, layers, params.layer_cost),
-        correct_probs=block.correct_prob[rows, cols],
-        realized=block.realized_correct[rows, cols],
-        reliabilities=1.0 - block.reliability_risk[rows, cols],
-        grid=grid,
-        reward_params=params,
-        criterion=criterion,
-        num_layers=params.num_layers,
-        seed=seed,
-    )
+    return gather_trace(f"fixed{tau:g}", [tau] * len(block), layers, at_exit,
+                        exit_reward(at_exit, layers, params.layer_cost),
+                        (block.correct_prob, block.realized_correct, block.reliability_risk),
+                        grid=grid, reward_params=params, criterion=criterion, seed=seed)
 
 
 def oracle_best_arm(

@@ -9,8 +9,10 @@ exit layer determine the reward.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,12 +195,16 @@ class SampleBlock:
         samples = list(samples)
         if not samples:
             raise ValueError("empty sample stream")
-        if any(s.num_layers != samples[0].num_layers for s in samples):
+        depth = samples[0].num_layers
+        if any(s.num_layers != depth for s in samples):
             raise ValueError("stream depth differs between samples")
-        return cls(np.array([s.confidence for s in samples], dtype=np.float64),
-                   np.array([s.reliability_risk for s in samples], dtype=np.float64),
-                   np.array([s.correct_prob for s in samples], dtype=np.float64),
-                   np.array([s.realized_correct for s in samples], dtype=bool))
+
+        def stack(column, dtype):
+            values = itertools.chain.from_iterable(map(operator.attrgetter(column), samples))
+            return np.fromiter(values, dtype).reshape(len(samples), depth)
+
+        return cls(stack("confidence", np.float64), stack("reliability_risk", np.float64),
+                   stack("correct_prob", np.float64), stack("realized_correct", bool))
 
     def __len__(self) -> int:
         return len(self.confidence)

@@ -4,10 +4,13 @@ The score criterion is configurable; the primary criterion multiplies the
 reported confidence by the reliability scorer's complement, so a layer only
 qualifies when the model is both confident and believed reliable.
 
-The rule comes in three forms that give the same answers: decide (one
-sample, one threshold; the deployed loop's call and the reference), ExitScan
-(one sample, many thresholds, each layer scored at most once) and
-exit_columns (a whole stream, one threshold column at a time).
+The rule comes in two forms that give the same answers. decide (one sample,
+one threshold) is the deployed loop's call and the reference. The other form
+scores each layer once into a row of running maxima: a sample's row
+(prefix_max, final_score) answers any number of thresholds by bisection
+(scored_row, exit_at; block_rounds gives a block's rows), and the (T, L)
+table of a whole stream answers one threshold column at a time
+(exit_columns).
 """
 
 from __future__ import annotations
@@ -96,61 +99,35 @@ def decide(
     return ExitDecision(last + 1, score(conf[last], risk[last]), False)
 
 
-class ExitScan:
-    """Exit decisions of one sample for any number of thresholds.
+def scored_row(confidence, reliability_risk, criterion: Criterion = Criterion.PRODUCT):
+    """One sample's row of the exit table, in plain Python: (prefix_max,
+    final_score), the running max of the scores of layers 1..L-1 (a list)
+    and the final layer's score. Ties keep the earlier layer's score."""
+    score = _scorer(criterion)
+    prefix_max = []
+    best = -math.inf
+    for pos in range(len(confidence) - 1):
+        s = score(confidence[pos], reliability_risk[pos])
+        if s > best:
+            best = s
+        prefix_max.append(best)
+    return prefix_max, score(confidence[-1], reliability_risk[-1])
 
-    Layers are scored lazily, only as deep as the deepest threshold asked so
-    far needs, and each at most once. The running max of the scores scored so
-    far (final layer excluded) is kept, so a threshold it already clears is
-    resolved by bisection. exit(threshold) returns decide's (exit_layer,
-    score_at_exit); threshold None exits at the final layer. The sample is
-    given as its confidence and reliability_risk columns, or already scored
-    (see scored).
+
+def exit_at(prefix_max, final_score, threshold) -> tuple[int, float]:
+    """decide's (exit_layer, score_at_exit) read from a row of the exit table.
+
+    The exit is the first layer whose running max clears the threshold,
+    found by bisection; there the running max is the layer's own score,
+    since every threshold is above 0. A None threshold exits at the final
+    layer.
     """
-
-    __slots__ = ("_conf", "_risk", "_score", "_scores", "_prefix_max", "_final", "_layers")
-
-    def __init__(self, confidence, reliability_risk, criterion: Criterion = Criterion.PRODUCT):
-        self._conf = confidence
-        self._risk = reliability_risk
-        self._score = _scorer(criterion)
-        self._scores: list[float] = []
-        self._prefix_max: list[float] = []
-        self._final = None
-        self._layers = len(confidence)
-
-    @classmethod
-    def scored(cls, prefix_max: list, final_score: float) -> "ExitScan":
-        """A scan with every layer scored: one _exit_table row, as the running
-        max over layers 1..L-1 and the final-layer score. The running max
-        stands in for the scores, since at an early exit the two are equal."""
-        scan = cls.__new__(cls)
-        scan._conf = scan._risk = scan._score = None
-        scan._scores = scan._prefix_max = prefix_max
-        scan._final = final_score
-        scan._layers = len(prefix_max) + 1
-        return scan
-
-    def exit(self, threshold) -> tuple[int, float]:
-        if threshold is not None:
-            _check_threshold(threshold)
-            prefix_max = self._prefix_max
-            if prefix_max and prefix_max[-1] >= threshold:
-                pos = bisect.bisect_left(prefix_max, threshold)
-                return pos + 1, self._scores[pos]
-            conf, risk, score, scores = self._conf, self._risk, self._score, self._scores
-            best = prefix_max[-1] if prefix_max else -math.inf
-            for pos in range(len(scores), self._layers - 1):
-                s = score(conf[pos], risk[pos])
-                scores.append(s)
-                if s > best:
-                    best = s
-                prefix_max.append(best)
-                if s >= threshold:
-                    return pos + 1, s
-        if self._final is None:
-            self._final = self._score(self._conf[-1], self._risk[-1])
-        return self._layers, self._final
+    if threshold is not None:
+        _check_threshold(threshold)
+        if prefix_max[-1] >= threshold:
+            pos = bisect.bisect_left(prefix_max, threshold)
+            return pos + 1, prefix_max[pos]
+    return len(prefix_max) + 1, final_score
 
 
 # rows of a SampleBlock scored and converted to Python floats per step of block_rounds
@@ -168,15 +145,12 @@ def _exit_table(confidence, reliability_risk, criterion: Criterion) -> np.ndarra
 
 
 def block_rounds(block: SampleBlock, criterion: Criterion):
-    """Per round of the block: (ExitScan, correct_prob, realized_correct,
-    reliability_risk), the columns as lists. Rows are scored in numpy and
-    converted a chunk at a time, lazily."""
+    """The block's exit-table rows as scored_row gives them, one per round.
+    Rows are scored in numpy and converted a chunk at a time, lazily."""
     def chunk(lo):
-        rows = slice(lo, lo + _ROW_CHUNK)
-        table = _exit_table(block.confidence[rows], block.reliability_risk[rows], criterion)
-        return zip(map(ExitScan.scored, table[:, :-1].tolist(), table[:, -1].tolist()),
-                   block.correct_prob[rows].tolist(), block.realized_correct[rows].tolist(),
-                   block.reliability_risk[rows].tolist())
+        table = _exit_table(block.confidence[lo:lo + _ROW_CHUNK],
+                            block.reliability_risk[lo:lo + _ROW_CHUNK], criterion)
+        return zip(table[:, :-1].tolist(), table[:, -1].tolist())
     return itertools.chain.from_iterable(map(chunk, range(0, len(block), _ROW_CHUNK)))
 
 
@@ -208,13 +182,16 @@ def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
 def exit_distribution(
     samples, threshold: float, criterion: Criterion = Criterion.PRODUCT
 ) -> np.ndarray:
-    """Empirical exit-layer histogram of the rule over a sample set.
+    """Empirical exit-layer histogram of the rule over a SampleBlock or an
+    iterable of samples.
 
     Returns an array of length num_layers summing to 1 (within float error).
     """
-    samples = list(samples)
-    if len(samples) == 0:
-        raise ValueError("no samples given")
+    if not isinstance(samples, SampleBlock):
+        samples = list(samples)
+        if not samples:
+            raise ValueError("no samples given")
+        samples = SampleBlock.from_samples(samples)
     (layers, _), = exit_columns(samples, (threshold,), criterion)
-    counts = np.bincount(layers, minlength=samples[0].num_layers + 1)[1:]
+    counts = np.bincount(layers, minlength=samples.num_layers + 1)[1:]
     return counts / layers.size

@@ -160,12 +160,12 @@ def landscape_runs():
     per_seed = []
     for s in range(20):
         seed = 200 + s
-        # the adaptive run and the best fixed arm share one stream
+        # the adaptive run and the best fixed arm share one stream, and the
+        # 5k run plays its prefix
+        block = sample_block(sch, 50_000, seed)
         tr50, best = run_many([UcbPolicy(G), FixedPolicy(BEST_ARM)],
-                              iter_samples(sch, 50_000, seed), RP, grid=G,
-                              num_rounds=50_000, seed=seed)
-        tr5 = run(G, iter_samples(sch, 5_000, seed=seed), RP,
-                  num_rounds=5_000, seed=seed)
+                              block, RP, grid=G, num_rounds=50_000, seed=seed)
+        tr5 = run(G, block.head(5_000), RP, num_rounds=5_000, seed=seed)
         per_seed.append({
             "r50": cumulative_regret(tr50, MEANS),
             "r5": cumulative_regret(tr5, MEANS),
@@ -218,7 +218,7 @@ def test_criterion_05_policy_ordering(capsys):
             RandomPolicy(G, seed=7000 + s),
             FinalLayerPolicy(),
         ]
-        traces = run_many(policies, iter_samples(sch, horizon, seed=100 + s),
+        traces = run_many(policies, sample_block(sch, horizon, seed=100 + s),
                           RP, grid=G, num_rounds=horizon, seed=100 + s)
         sums += [cumulative_regret(tr, MEANS) for tr in traces]
     avg = sums / 5
@@ -241,7 +241,7 @@ def test_criterion_06_shift_adaptation(capsys):
     for s in range(10):
         sch = ShiftSchedule(((1, DEFAULTS), (cut + 1, shifted)))
         policies = [UcbPolicy(G)] + [FixedPolicy(v) for v in G.values]
-        traces = run_many(policies, iter_samples(sch, horizon, seed=300 + s),
+        traces = run_many(policies, sample_block(sch, horizon, seed=300 + s),
                           RP, grid=G, num_rounds=horizon, seed=300 + s)
         for i, tr in enumerate(traces):
             risks[i] += 1.0 - tr.correct_probs[cut:].mean()

@@ -1,6 +1,7 @@
 """Bandit core: index arithmetic, state updates, rewards, and the run loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,17 @@ class TestRunLoop:
             assert trace.exit_layers[i] == d.exit_layer
             assert trace.scores[i] == d.score_at_exit
             assert trace.rewards[i] == d.score_at_exit - 0.01 * d.exit_layer
+
+    def test_realized_outcomes_read_by_truth_value(self):
+        # numpy bools and 0/1 ints in realized_correct record as Python bools would
+        base = make_sample([0.3, 0.9, 0.3])
+        params = RewardParams(lam=0.0, num_layers=3)
+        for realized in ((np.True_, np.False_, np.True_), (1, 0, 1)):
+            samples = [replace(base, realized_correct=realized)]
+            for arm, want in ((0.2, True), (0.5, False), (0.95, True)):
+                trace = run(ThresholdGrid((arm,)), samples, params)
+                assert trace.realized.dtype == bool
+                assert trace.realized.tolist() == [want]
 
     def test_dominant_arm_absorbs_play(self):
         # layer-1 scores average 0.75, layer-2 scores 0.55: the low threshold

@@ -1,12 +1,13 @@
-"""The exit rule's three forms agree with decide, and every reward with reward().
+"""The exit rule's two forms agree with decide, and every reward with reward().
 
-decide (one sample, one threshold) is the reference. ExitScan answers many
-thresholds on one sample, run_many plays several policies on it per round,
-and exit_columns (directly and via oracle_best_arm) answers a whole stream
-one threshold at a time. replay_arm gathers one exit_columns column and must
-record what the runner records for FixedPolicy. Samples are drawn so that
-scores often equal a threshold exactly, thresholds include 1.0, and policies
-repeat each other's arms or force the final layer (arm None).
+decide (one sample, one threshold) is the reference. A sample's exit-table
+row (scored_row) answers many thresholds through exit_at, run_many plays
+several policies on it per round, and exit_columns (directly and via
+oracle_best_arm) answers a whole stream one threshold at a time. replay_arm
+gathers one exit_columns column and must record what the runner records for
+FixedPolicy. Samples are drawn so that scores often equal a threshold
+exactly, thresholds include 1.0, and policies repeat each other's arms or
+force the final layer (arm None).
 """
 
 import itertools
@@ -36,7 +37,7 @@ from exitbandit import (
     stream,
 )
 from exitbandit.env import SampleBlock
-from exitbandit.exits import ExitScan, exit_columns, layer_score
+from exitbandit.exits import exit_at, exit_columns, layer_score, scored_row
 
 THRESHOLDS = (0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
 GRID = ThresholdGrid(THRESHOLDS)
@@ -47,13 +48,13 @@ RISKS = st.one_of(st.sampled_from((0.0, 0.25)), st.floats(min_value=0.0, max_val
 
 
 @st.composite
-def samples_of_depth(draw, num_layers, min_size=1, max_size=12):
+def samples_of_depth(draw, num_layers, min_size=1, max_size=12, confidences=CONFIDENCES):
     rounds = draw(st.integers(min_value=min_size, max_value=max_size))
     out = []
     for _ in range(rounds):
         layers = []  # one (conf, risk, cp, realized, features) row per layer
         for i in range(1, num_layers + 1):
-            conf, risk = draw(CONFIDENCES), draw(RISKS)
+            conf, risk = draw(confidences), draw(RISKS)
             cp = draw(st.floats(min_value=0.0, max_value=1.0))
             layers.append((conf, risk, cp, draw(st.booleans()),
                            (conf, i / num_layers, 1.0 - risk)))
@@ -101,41 +102,36 @@ VARIANTS = st.sampled_from(list(RewardVariant))
 LAMBDAS = st.sampled_from((0.0, 0.01, 0.1 / 3, 0.25))
 
 
-class TestExitScan:
+# -0.0 is a valid confidence; its zero scores must keep their sign
+SIGNED_CONFIDENCES = st.one_of(st.sampled_from((-0.0, 0.0)), CONFIDENCES)
+
+
+class TestExitRow:
     @given(data=st.data(), criterion=CRITERIA)
     @settings(max_examples=150, deadline=None)
-    def test_every_threshold_order_matches_decide(self, data, criterion):
+    def test_exit_at_scored_row_matches_decide(self, data, criterion):
         num_layers = data.draw(st.integers(min_value=2, max_value=8))
-        sample = data.draw(samples_of_depth(num_layers, max_size=1))[0]
-        asks = data.draw(st.lists(st.sampled_from(THRESHOLDS + (None,)), max_size=10))
-        scan = ExitScan(sample.confidence, sample.reliability_risk, criterion)
-        for tau in asks:
+        sample = data.draw(samples_of_depth(num_layers, max_size=1,
+                                            confidences=SIGNED_CONFIDENCES))[0]
+        row = scored_row(sample.confidence, sample.reliability_risk, criterion)
+        for tau in THRESHOLDS + (None,):
             d = reference_decision(sample, tau, criterion)
-            assert scan.exit(tau) == (d.exit_layer, d.score_at_exit)
-
-    def test_each_layer_scored_at_most_once(self):
-        calls = []
-        confidences = (0.2, 0.55, 0.7, 0.95, 0.4)
-        sample = make_sample(confidences)
-        scan = ExitScan(sample.confidence, sample.reliability_risk)
-        scan._score = lambda conf, risk: calls.append(conf) or conf
-        for tau in (0.5, 0.9, 0.6, 1.0, None, 0.25, 1.0, None):
-            scan.exit(tau)
-        assert sorted(calls) == sorted(confidences)
+            layer, score = exit_at(*row, tau)
+            assert (layer, score) == (d.exit_layer, d.score_at_exit)
+            assert math.copysign(1.0, score) == math.copysign(1.0, d.score_at_exit)
 
     def test_out_of_range_threshold_raises_like_decide(self):
         sample = make_sample([0.9, 0.9])
-        scan = ExitScan(sample.confidence, sample.reliability_risk)
-        scan.exit(0.5)  # the prefix max (0.9) now clears anything up to 0.9
+        row = scored_row(sample.confidence, sample.reliability_risk)
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="threshold"):
                 decide(sample, bad)
             with pytest.raises(ValueError, match="threshold"):
-                scan.exit(bad)
+                exit_at(*row, bad)
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
-            ExitScan((0.9, 0.9), (0.0, 0.0), "product")
+            scored_row((0.9, 0.9), (0.0, 0.0), "product")
 
 
 class TestRunManyMatchesDecide:
@@ -145,8 +141,8 @@ class TestRunManyMatchesDecide:
     def test_traces_equal_decide_and_reward_arm_by_arm(self, case, criterion, variant, lam):
         num_layers, samples, scripts = case
         params = RewardParams(lam=lam, num_layers=num_layers, variant=variant)
-        # a block is scored up front (ExitScan.scored), a list lazily
-        for source in (samples, SampleBlock.from_samples(samples)):
+        # a block is scored a chunk at a time, a list or generator per sample
+        for source in (samples, SampleBlock.from_samples(samples), iter(samples)):
             policies = [ScriptedPolicy(arms) for arms in scripts]
             traces = run_many(policies, source, params, criterion, grid=GRID)
             for policy, trace in zip(policies, traces):
@@ -163,6 +159,44 @@ class TestRunManyMatchesDecide:
                 assert trace.realized.tolist() == [s.realized_correct[i] for s, i in at_exit]
                 assert trace.reliabilities.tolist() == [1.0 - s.reliability_risk[i]
                                                         for s, i in at_exit]
+
+
+class LoggedPolicy:
+    """Plays a fixed arm and logs each select and observe with its round."""
+
+    def __init__(self, arm, log):
+        self.arm, self.log = arm, log
+
+    def select(self, round_number):
+        self.round = round_number
+        self.log.append(("select", self, round_number))
+        return self.arm
+
+    def observe(self, arm, reward_value):
+        self.log.append(("observe", self, self.round))
+
+
+class TestRunManyPullsLockstep:
+    def test_sample_requested_after_every_policy_observed_the_round_before(self):
+        samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1)), 8,
+                         seed=0)
+        log = []
+
+        def endless():
+            for t, sample in enumerate(itertools.cycle(samples), start=1):
+                log.append(("pull", None, t))
+                yield sample
+
+        policies = [LoggedPolicy(arm, log) for arm in (0.5, None, 0.9)]
+        params = RewardParams(lam=0.01, num_layers=4)
+        traces = run_many(policies, endless(), params, grid=GRID, num_rounds=20)
+        expected = []
+        for t in range(1, 21):
+            expected.append(("pull", None, t))
+            for policy in policies:
+                expected += [("select", policy, t), ("observe", policy, t)]
+        assert log == expected
+        assert [len(trace) for trace in traces] == [20] * 3
 
 
 class TestOracleMatchesReplay:

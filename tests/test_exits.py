@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample
-from exitbandit import Criterion, SampleOutcomes, decide, exit_distribution, exits
+from exitbandit import (
+    Criterion,
+    GeneratorParams,
+    SampleOutcomes,
+    ShiftSchedule,
+    decide,
+    exit_distribution,
+    exits,
+    stream,
+)
 from exitbandit.exits import layer_score
+from exitbandit.simulator import sample_block
 
 
 @pytest.fixture
@@ -139,3 +149,12 @@ class TestExitDistribution:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
             exit_distribution([], 0.5)
+
+    def test_block_and_its_list_agree(self):
+        schedule = ShiftSchedule.constant(GeneratorParams(seed=2))
+        samples = stream(schedule, 300, seed=3)
+        block = sample_block(schedule, 300, seed=3)
+        for criterion in Criterion:
+            for tau in (0.5, 0.9, 1.0):
+                np.testing.assert_array_equal(exit_distribution(block, tau, criterion),
+                                              exit_distribution(samples, tau, criterion))
