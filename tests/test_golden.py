@@ -5,8 +5,10 @@ The stream digests cover every field of every layer, so a change to the
 generator shows even where no exit decision reads it. Each config runs end to end (run_experiment, then analyze on its traces),
 and the trace, summary, aggregate and regret files must hash to the pinned
 values; the reliability trainer's model and metrics JSON are pinned the same
-way. The digests were recorded before the exit table and the column-wise
-oracle replaced per-arm replays, so any change in the emitted bytes shows.
+way, and so are two sweep CSVs. The digests were recorded before the exit
+table and the column-wise oracle replaced per-arm replays, and before the
+reliability rows were grouped by layer, so any change in the emitted bytes
+shows.
 
 Re-pin (only when outputs change on purpose) by printing the current values:
 
@@ -23,7 +25,13 @@ from pathlib import Path
 import pytest
 
 from exitbandit import GeneratorParams, ShiftSchedule, stream
-from exitbandit.harness import analyze, parse_config, run_experiment, train_reliability
+from exitbandit.harness import (
+    analyze,
+    parse_config,
+    run_experiment,
+    sweep,
+    train_reliability,
+)
 
 _GRID = {"size": 10, "low": 0.5, "high": 1.0}
 
@@ -51,6 +59,14 @@ CONFIGS = {
 
 RELIABILITY_CONFIG = {"generator": {}, "num_rounds": 300, "seeds": [11],
                       "reliability": {"epochs": 20}}
+
+# the default 500 epochs on a depth other than 12, so every epoch of a full
+# training run and a second row layout are pinned
+RELIABILITY_5_LAYER_CONFIG = {"generator": {"num_layers": 5}, "num_rounds": 300,
+                              "seeds": [12]}
+
+# one sweep CSV per axis, two values each, over the "ucb" reference config
+SWEEPS = {"lambda": [0.0, 0.05], "variant": ["product", "product_penalized"]}
 
 GOLDEN_STREAMS = {
     "default": "f6388bb56d4d1e31ab05f45cdd99061f27b7372d142bc37f52072e586414b46d",
@@ -101,6 +117,11 @@ GOLDEN_EDGE_STREAMS = {
         "7c1adc3695c99d0b60ecbabcae3174677b9ceacbf1fc8c89d3217ada0ea94e18",
 }
 
+GOLDEN_SWEEPS = {
+    "lambda": "cde438da445c89973174a641bad046e34cce83022b2c026f783f33b628a1636e",
+    "variant": "d1ca87175c14b082076cfca3f3bd404ec22c891fbbf04d1c0eb772b1a97089d9",
+}
+
 GOLDEN = {
     "final": {
         "aggregate_final.json":
@@ -137,6 +158,12 @@ GOLDEN = {
             "5f90807b1cfccdb6d3fabd257f4fb96f6eddfd2d73ceeb8481d1731dd520615b",
         "reliability_metrics_11.json":
             "5a1a12791a7e727e0dae1061c6eea666db406329f3e98462cdc031d12072ea9c",
+    },
+    "reliability_5_layers": {
+        "reliability_12.json":
+            "5c42f82df8e24486e86925f29e45c8bee08872db8f2fe3f1f8c656c4444fb390",
+        "reliability_metrics_12.json":
+            "ecf99d4dba0660e35cb70f89efe1e58d9c91b3da7637f02a5c7750261a75d7fa",
     },
     "shift": {
         "aggregate_ucb.json":
@@ -224,10 +251,15 @@ def experiment_digests(name: str, out: Path) -> dict:
     return {p.name: _sha256(p) for p in sorted(out.iterdir())}
 
 
-def reliability_digests(out: Path) -> dict:
-    config = parse_config(RELIABILITY_CONFIG)
+def reliability_digests(out: Path, document: dict = RELIABILITY_CONFIG) -> dict:
+    config = parse_config(document)
     result = train_reliability(config, config.seeds[0], out)
     return {p.name: _sha256(p) for p in (result["model"], result["metrics_file"])}
+
+
+def sweep_digest(axis: str, out: Path) -> str:
+    return _sha256(sweep(parse_config(CONFIGS["ucb"]), axis, SWEEPS[axis],
+                         out / f"sweep_{axis}.csv"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
@@ -249,6 +281,16 @@ def test_reliability_outputs_match_golden_digests(tmp_path):
     assert reliability_digests(tmp_path) == GOLDEN["reliability"]
 
 
+def test_reliability_500_epochs_on_5_layers_match_golden_digests(tmp_path):
+    assert (reliability_digests(tmp_path, RELIABILITY_5_LAYER_CONFIG)
+            == GOLDEN["reliability_5_layers"])
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEPS))
+def test_sweep_csv_matches_golden_digest(axis, tmp_path):
+    assert sweep_digest(axis, tmp_path) == GOLDEN_SWEEPS[axis]
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
@@ -261,4 +303,9 @@ if __name__ == "__main__":
             current[name] = experiment_digests(name, Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         current["reliability"] = reliability_digests(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        current["reliability_5_layers"] = reliability_digests(
+            Path(tmp), RELIABILITY_5_LAYER_CONFIG)
+    with tempfile.TemporaryDirectory() as tmp:
+        current["sweeps"] = {axis: sweep_digest(axis, Path(tmp)) for axis in sorted(SWEEPS)}
     pprint.pprint(current, stream=sys.stdout, width=100)
