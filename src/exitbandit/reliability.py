@@ -107,8 +107,10 @@ class Hyperparams:
 class Dataset:
     """Flat per-(sample, layer) rows for full-batch training.
 
-    inputs holds the augmented design matrix [features, layer/L, 1]; rows
-    are grouped per layer via layer_rows so per-exit means are cheap.
+    inputs holds the augmented design matrix [features, layer/L, 1]. Rows are
+    grouped by layer (layer_index is non-decreasing over 1..num_layers), so
+    each layer's rows are one contiguous slice in layer_rows and per-exit
+    means read views, not copies.
     """
 
     inputs: np.ndarray
@@ -116,7 +118,7 @@ class Dataset:
     layer_index: np.ndarray
     correct: np.ndarray
     num_layers: int
-    layer_rows: list[np.ndarray] = field(init=False)
+    layer_rows: list[slice] = field(init=False)
 
     def __post_init__(self):
         n = self.inputs.shape[0]
@@ -126,11 +128,13 @@ class Dataset:
             raise ValueError("misaligned dataset columns")
         if np.any(self.cross_entropy < 0.0):
             raise ValueError("negative cross-entropy")
-        self.layer_rows = [
-            np.flatnonzero(self.layer_index == i)
-            for i in range(1, self.num_layers + 1)
-        ]
-        if any(len(rows) == 0 for rows in self.layer_rows):
+        if self.layer_index.min() < 1 or self.layer_index.max() > self.num_layers:
+            raise ValueError(f"layer_index outside 1..{self.num_layers}")
+        if np.any(self.layer_index[1:] < self.layer_index[:-1]):
+            raise ValueError("rows must be grouped by layer (non-decreasing layer_index)")
+        ends = np.searchsorted(self.layer_index, np.arange(self.num_layers + 1), side="right")
+        self.layer_rows = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
+        if any(rows.start == rows.stop for rows in self.layer_rows):
             raise ValueError("every layer needs at least one row")
 
     def __len__(self) -> int:
@@ -142,10 +146,11 @@ class Dataset:
 
 
 def dataset_from_samples(samples: Sequence[SampleOutcomes]) -> Dataset:
-    """One training row per (sample, layer).
+    """One training row per (sample, layer), grouped by layer.
 
-    The cross-entropy column is the simulator's stand-in for a classifier
-    loss: -log(correct_prob) when the layer's prediction realized correct,
+    Rows run layer by layer, in sample order within each layer. The
+    cross-entropy column is the simulator's stand-in for a classifier loss:
+    -log(correct_prob) when the layer's prediction realized correct,
     -log(1 - correct_prob) otherwise, floored away from log(0).
     """
     if len(samples) == 0:
@@ -153,19 +158,25 @@ def dataset_from_samples(samples: Sequence[SampleOutcomes]) -> Dataset:
     num_layers = samples[0].num_layers
     if any(s.num_layers != num_layers for s in samples):
         raise ValueError("mixed num_layers in sample batch")
-    features = np.array([s.g_features for s in samples], dtype=np.float64)
-    features = features.reshape(-1, features.shape[-1])
-    layer_index = np.tile(np.arange(1, num_layers + 1), len(samples))
-    correct = np.array([s.realized_correct for s in samples], dtype=bool).ravel()
-    p = np.clip(np.array([s.correct_prob for s in samples], dtype=np.float64).ravel(),
-                CE_FLOOR, 1.0 - CE_FLOOR)
+    correct = np.array([s.realized_correct for s in samples], dtype=bool).T.ravel()
+    p = np.clip(np.array([s.correct_prob for s in samples], dtype=np.float64),
+                CE_FLOOR, 1.0 - CE_FLOOR).T.ravel()
     # math.log per element: numpy's log may differ in the last ulp
-    ce = [-math.log(q) if hit else -math.log(1.0 - q)
-          for q, hit in zip(p.tolist(), correct.tolist())]
+    ce = np.array([-math.log(q) if hit else -math.log(1.0 - q)
+                   for q, hit in zip(p.tolist(), correct.tolist())], dtype=np.float64)
+    # the rows [features, layer/L, 1] are written in place as (L, n, F + 2),
+    # after the Python lists above are freed and without a transposed copy
+    features = np.array([s.g_features for s in samples], dtype=np.float64)  # (n, L, F)
+    width = features.shape[-1]
+    inputs = np.empty((num_layers, len(samples), width + 2))
+    inputs[:, :, :width] = features.transpose(1, 0, 2)
+    layers = np.arange(1, num_layers + 1)
+    inputs[:, :, width] = (layers / num_layers)[:, None]
+    inputs[:, :, width + 1] = 1.0
     return Dataset(
-        inputs=np.column_stack((features, layer_index / num_layers, np.ones(len(p)))),
-        cross_entropy=np.asarray(ce, dtype=np.float64),
-        layer_index=layer_index,
+        inputs=inputs.reshape(-1, width + 2),
+        cross_entropy=ce,
+        layer_index=np.repeat(layers, len(samples)),
         correct=correct,
         num_layers=num_layers,
     )
@@ -255,21 +266,25 @@ def objective_gradient(
     depth_weights = np.arange(1, dataset.num_layers + 1, dtype=np.float64)
     depth_weights /= depth_weights.sum()
 
+    ce = dataset.cross_entropy
+    fit_terms = ce * (1.0 + g)
+    ce_g_prime = ce * g_prime
+
     total = 0.0
     grad = np.zeros_like(w)
+    # float(np.add.reduce(x) / m) is np.mean(x)'s arithmetic, without its overhead
     for i, rows in enumerate(dataset.layer_rows):
-        m = len(rows)
-        x_i = dataset.inputs[rows]
-        ce_i = dataset.cross_entropy[rows]
-        fit = float(np.mean(ce_i * (1.0 + g[rows])))
-        cov = float(np.mean(surrogate[rows]))
+        m = rows.stop - rows.start
+        fit = float(np.add.reduce(fit_terms[rows]) / m)
+        cov = float(np.add.reduce(surrogate[rows]) / m)
         gap = targets.c_per_exit[i] - cov
         total += depth_weights[i] * (fit + hinge_sq(gap))
 
-        dg = (ce_i * g_prime[rows]) / m
+        dg = ce_g_prime[rows] / m
         if gap > 0.0:
+            # keep the left-to-right product: (sp * g') first changes the bits
             dg = dg - (2.0 * gap / m) * surrogate_prime[rows] * g_prime[rows]
-        grad += depth_weights[i] * (dg @ x_i)
+        grad += depth_weights[i] * (dg @ dataset.inputs[rows])
     return total, grad
 
 
@@ -449,18 +464,11 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     if pos == 0 or neg == 0:
         raise ValueError("AUC needs both classes present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    rank = 1
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average rank across the tie block
-        avg = 0.5 * (rank + rank + (j - i))
-        ranks[order[i : j + 1]] = avg
-        rank += j - i + 1
-        i = j + 1
-    rank_sum = float(ranks[labels].sum())
+    # each run of equal scores (a tie block) shares the mean of its 1-based
+    # ranks, a half-integer, so the rank sum below is exact
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    sizes = np.diff(np.r_[starts, labels.size])
+    ranks = np.repeat(0.5 * (2 * starts + sizes + 1), sizes)
+    rank_sum = float(ranks[labels[order]].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)

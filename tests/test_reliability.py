@@ -17,8 +17,10 @@ from exitbandit import (
     stream,
     train,
 )
+from exitbandit import reliability
 from exitbandit.reliability import (
     CE_FLOOR,
+    SURROGATE_SHARPNESS,
     CoverageTargets,
     Dataset,
     Hyperparams,
@@ -179,6 +181,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="layer"):
             crafted_dataset([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("layers", [[1, 2, 3], [0, 1, 2]])
+    def test_layer_index_out_of_range_rejected(self, layers):
+        # the objective would drop such a row while len() and coverage() count it
+        with pytest.raises(ValueError, match="outside 1..2"):
+            crafted_dataset([0.1, 0.2, 0.3], layers)
+
+    def test_ungrouped_rows_rejected(self):
+        with pytest.raises(ValueError, match="grouped by layer"):
+            crafted_dataset([0.1, 0.2, 0.3, 0.4], [1, 2, 1, 2])
+
 
 class TestLossTerms:
     def test_hinge_sq(self):
@@ -235,19 +247,20 @@ class TestDatasetFromSamples:
         np.testing.assert_array_equal(ds.inputs[:, -1], 1.0)
 
     def test_columns_equal_a_per_layer_loop(self):
-        # the per-(sample, layer) loop with the same arithmetic is the reference
+        # the per-(layer, sample) loop with the same arithmetic is the reference
         samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=5)), 40, seed=6)
         ds = dataset_from_samples(samples)
         rows, ce = [], []
-        for s in samples:
-            for i in range(s.num_layers):
+        for i in range(5):
+            for s in samples:
                 rows.append([*s.g_features[i], (i + 1) / s.num_layers, 1.0])
                 p = min(max(s.correct_prob[i], CE_FLOOR), 1.0 - CE_FLOOR)
                 ce.append(-math.log(p) if s.realized_correct[i] else -math.log(1.0 - p))
         assert ds.inputs.tolist() == rows
         assert ds.cross_entropy.tolist() == ce
-        assert ds.layer_index.tolist() == [i for _ in samples for i in range(1, 6)]
-        assert ds.correct.tolist() == [r for s in samples for r in s.realized_correct]
+        assert ds.layer_index.tolist() == [i for i in range(1, 6) for _ in samples]
+        assert ds.correct.tolist() == [s.realized_correct[i] for i in range(5) for s in samples]
+        assert ds.layer_rows == [slice(40 * i, 40 * (i + 1)) for i in range(5)]
 
     def test_cross_entropy_encoding(self):
         sample = make_sample([0.5, 0.9], cps=[0.8, 0.8], realized=[True, False])
@@ -285,7 +298,95 @@ class TestGradient:
             assert err <= 1e-5 * (1.0 + np.linalg.norm(analytic))
 
 
+def gathered_objective_gradient(weights, dataset, targets, sharpness=SURROGATE_SHARPNESS):
+    """The objective as computed before rows were grouped by layer: each layer's
+    rows are gathered by index, every product is formed per layer."""
+    w = np.asarray(weights, dtype=np.float64)
+    g = 1.0 / (1.0 + np.exp(-(dataset.inputs @ w)))
+    g_prime = g * (1.0 - g)
+    surrogate = 1.0 / (1.0 + np.exp(-(sharpness * (g - 0.5))))
+    surrogate_prime = sharpness * surrogate * (1.0 - surrogate)
+    depth_weights = np.arange(1, dataset.num_layers + 1, dtype=np.float64)
+    depth_weights /= depth_weights.sum()
+    total = 0.0
+    grad = np.zeros_like(w)
+    for i in range(dataset.num_layers):
+        rows = np.flatnonzero(dataset.layer_index == i + 1)
+        m = len(rows)
+        x_i = dataset.inputs[rows]
+        ce_i = dataset.cross_entropy[rows]
+        fit = float(np.mean(ce_i * (1.0 + g[rows])))
+        cov = float(np.mean(surrogate[rows]))
+        gap = targets.c_per_exit[i] - cov
+        total += depth_weights[i] * (fit + hinge_sq(gap))
+        dg = (ce_i * g_prime[rows]) / m
+        if gap > 0.0:
+            dg = dg - (2.0 * gap / m) * surrogate_prime[rows] * g_prime[rows]
+        grad += depth_weights[i] * (dg @ x_i)
+    return total, grad
+
+
+def _stream_case(num_layers, seed):
+    samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=num_layers)),
+                     120, seed=seed)
+    return dataset_from_samples(samples), compute_c_from_samples(samples)
+
+
+def _unequal_layers_case():
+    # 3, 1 and 6 rows on three layers, two features, uneven cross-entropy
+    rng = np.random.default_rng(8)
+    layers = np.repeat([1, 2, 3], [3, 1, 6])
+    inputs = np.column_stack((rng.normal(size=(10, 2)), layers / 3, np.ones(10)))
+    ds = Dataset(inputs, rng.uniform(0.0, 3.0, 10), layers, rng.random(10) < 0.7, 3)
+    return ds, CoverageTargets((0.9, 0.5, 0.99))
+
+
+BIT_IDENTITY_CASES = {
+    "12_layers": lambda: _stream_case(12, 31),
+    "5_layers": lambda: _stream_case(5, 32),
+    "unequal_layers": _unequal_layers_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
+class TestMatchesGatheredObjective:
+    def test_loss_and_gradient_bit_identical(self, case):
+        ds, targets = BIT_IDENTITY_CASES[case]()
+        rng = np.random.default_rng(33)
+        for scale in (0.1, 0.5, 2.0):
+            w = rng.normal(scale=scale, size=ds.feature_dim + 2)
+            loss, grad = objective_gradient(w, ds, targets)
+            ref_loss, ref_grad = gathered_objective_gradient(w, ds, targets)
+            assert loss == ref_loss
+            assert grad.tolist() == ref_grad.tolist()
+
+    def test_training_bit_identical(self, case, monkeypatch):
+        ds, targets = BIT_IDENTITY_CASES[case]()
+        hp = Hyperparams(epochs=200)
+        history = []
+        model = train(ds, targets, hp, loss_history=history)
+        monkeypatch.setattr(reliability, "objective_gradient", gathered_objective_gradient)
+        ref_history = []
+        ref_model = train(ds, targets, hp, loss_history=ref_history)
+        assert model.weights == ref_model.weights
+        assert history == ref_history
+
+
 class TestTrain:
+    @pytest.mark.parametrize("epochs", [1, 7])
+    def test_one_objective_gradient_call_per_epoch(self, epochs, monkeypatch):
+        # profilers count training epochs by wrapping the module-level function
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return objective_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(reliability, "objective_gradient", counting)
+        ds, targets = _unequal_layers_case()
+        train(ds, targets, Hyperparams(epochs=epochs))
+        assert len(calls) == epochs
+
     def test_loss_history_non_increasing_after_warmup(self):
         # epoch 1 runs against zeroed coverage floors, so only losses from
         # epoch 2 onward are comparable to each other
@@ -359,6 +460,29 @@ class TestTrain:
             )
 
 
+def loop_auc_score(scores, labels):
+    """auc_score's former tie-block loop: ranks averaged over each run of equal scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    pos = int(labels.sum())
+    neg = labels.size - pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(labels.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    rank = 1
+    while i < labels.size:
+        j = i
+        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        avg = 0.5 * (rank + rank + (j - i))
+        ranks[order[i : j + 1]] = avg
+        rank += j - i + 1
+        i = j + 1
+    rank_sum = float(ranks[labels].sum())
+    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
 class TestAucScore:
     def test_hand_case(self):
         got = auc_score(
@@ -378,6 +502,19 @@ class TestAucScore:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc_score(np.asarray([0.1, 0.2]), np.asarray([True, True]))
+
+    @pytest.mark.parametrize("distinct", [None, 7, 1])
+    def test_equals_the_tie_block_loop(self, distinct):
+        # no ties, heavy ties (7 distinct scores) and all tied; tie-averaged
+        # ranks are half-integers, so both sums are exact
+        rng = np.random.default_rng(0 if distinct is None else distinct)
+        for _ in range(5):
+            n = int(rng.integers(2, 300))
+            scores = rng.random(n) if distinct is None \
+                else rng.integers(0, distinct, n).astype(np.float64)
+            labels = np.arange(n) % 3 == 0
+            rng.shuffle(labels)
+            assert auc_score(scores, labels) == loop_auc_score(scores, labels)
 
 
 class TestRescore:
