@@ -58,7 +58,6 @@ from .reliability import (
     ReliabilityModel,
     compute_c_from_samples,
     dataset_from_samples,
-    rescore_stream,
     train,
 )
 from .simulator import iter_samples, round_rng, stream
@@ -81,8 +80,7 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "analyze", "load_config", "parse_config",
     "run_experiment", "sweep", "train_reliability",
     # reliability
-    "ReliabilityModel", "compute_c_from_samples", "dataset_from_samples",
-    "rescore_stream", "train",
+    "ReliabilityModel", "compute_c_from_samples", "dataset_from_samples", "train",
 ]
 
 __version__ = "0.1.0"

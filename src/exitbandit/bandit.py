@@ -326,7 +326,7 @@ def run_many(
         raise ValueError("empty sample stream")
 
     if isinstance(samples, SampleBlock):
-        block = samples.head(t)
+        block = samples.rows(0, t)
         columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
     else:
         columns = [np.frombuffer(buf, dtype).reshape(t, num_layers)

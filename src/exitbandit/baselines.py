@@ -88,7 +88,7 @@ def replay_arm(
     if criterion is None:
         criterion = natural_criterion(params.variant)
     if isinstance(samples, SampleBlock):
-        block = samples if num_rounds is None else samples.head(num_rounds)
+        block = samples if num_rounds is None else samples.rows(0, num_rounds)
     else:
         block = SampleBlock.from_samples(itertools.islice(samples, num_rounds))
     (layers, at_exit), = exit_columns(block, (tau,), criterion, params.num_layers)

@@ -1,9 +1,10 @@
 """Domain types for the early-exit threshold environment.
 
 The environment is a stream of samples; each sample holds one column per
-outcome field, with one entry per exit layer of a depth-L network. Threshold
-policies pick an exit threshold per round, and the outcomes at the chosen
-exit layer determine the reward.
+outcome field, with one entry per exit layer of a depth-L network. A
+SampleBlock holds a whole stream as the same columns stacked, one row per
+sample. Threshold policies pick an exit threshold per round, and the
+outcomes at the chosen exit layer determine the reward.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ def require_integer(name: str, value) -> None:
     """Reject anything but an integer; bool is an Integral but never a count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Reject anything but a finite real number; bool is never one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,7 @@ class GeneratorParams:
         require_integer("seed", self.seed)
         for name in ("difficulty_spread", "depth_gain", "confidence_noise",
                      "reliability_signal", "overconfidence_rate", "noise_accuracy_drag"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            require_finite(name, getattr(self, name))
         if self.num_layers < 2:
             raise ValueError("num_layers must be >= 2")
         if self.difficulty_spread < 0:
@@ -124,14 +130,15 @@ class SampleOutcomes:
     unreliable (the exit score multiplies confidence by 1 - reliability_risk);
     correct_prob is the true probability that the predicted label is right;
     realized_correct is the Bernoulli(correct_prob) draw fixed at generation;
-    g_features is the reliability scorer's input, one tuple per layer.
+    feat is the generator's reliability feature, the input the reliability
+    scorer reads next to confidence and depth.
     """
 
     confidence: tuple[float, ...]
     reliability_risk: tuple[float, ...]
     correct_prob: tuple[float, ...]
     realized_correct: tuple[bool, ...]
-    g_features: tuple[tuple[float, ...], ...]
+    feat: tuple[float, ...]
 
     def __post_init__(self):
         # constructed in bulk by the generator; keep checks flat and cheap
@@ -139,7 +146,7 @@ class SampleOutcomes:
         if num_layers < 2:
             raise ValueError("a sample needs at least 2 layers")
         if not (len(self.reliability_risk) == len(self.correct_prob)
-                == len(self.realized_correct) == len(self.g_features) == num_layers):
+                == len(self.realized_correct) == len(self.feat) == num_layers):
             raise ValueError("per-layer columns differ in length")
         for name in ("confidence", "reliability_risk", "correct_prob"):
             for value in getattr(self, name):
@@ -155,15 +162,16 @@ class SampleOutcomes:
 class SampleBlock:
     """A whole stream as read-only (T, L) columns: row t is round t + 1.
 
-    The columns are SampleOutcomes' first four, stacked (features are not
-    kept). The block is validated once, as a whole, and owns its arrays:
-    they are set read-only.
+    The columns are SampleOutcomes', in the same order, stacked: a sample is
+    a row of the block. The block is validated once, as a whole, and owns
+    its arrays: they are set read-only.
     """
 
     confidence: np.ndarray
     reliability_risk: np.ndarray
     correct_prob: np.ndarray
     realized_correct: np.ndarray
+    feat: np.ndarray
 
     def __post_init__(self):
         shape = self.confidence.shape
@@ -174,24 +182,31 @@ class SampleBlock:
         if shape[0] < 1:
             raise ValueError("empty sample stream")
         if not (self.reliability_risk.shape == self.correct_prob.shape
-                == self.realized_correct.shape == shape):
+                == self.realized_correct.shape == self.feat.shape == shape):
             raise ValueError("per-layer columns differ in shape")
         if self.realized_correct.dtype != np.bool_:
             raise ValueError("realized_correct must be a bool array")
+        for name in ("confidence", "reliability_risk", "correct_prob", "feat"):
+            if getattr(self, name).dtype != np.float64:
+                raise ValueError(f"{name} must be a float64 array")
         for name in ("confidence", "reliability_risk", "correct_prob"):
             x = getattr(self, name)
-            if x.dtype != np.float64:
-                raise ValueError(f"{name} must be a float64 array")
             bad = ~((x >= 0.0) & (x <= 1.0))  # also catches NaN
             if bad.any():
                 raise ValueError(f"{name}={float(x[bad][0])!r} outside [0, 1]")
+        bad = ~np.isfinite(self.feat)
+        if bad.any():
+            raise ValueError(f"feat={float(self.feat[bad][0])!r} is not finite")
         for x in (self.confidence, self.reliability_risk, self.correct_prob,
-                  self.realized_correct):
+                  self.realized_correct, self.feat):
             x.flags.writeable = False
 
     @classmethod
     def from_samples(cls, samples) -> "SampleBlock":
-        """Stack an iterable of SampleOutcomes of one depth."""
+        """Stack an iterable of SampleOutcomes of one depth (a SampleBlock is
+        returned as it is)."""
+        if isinstance(samples, SampleBlock):
+            return samples
         samples = list(samples)
         if not samples:
             raise ValueError("empty sample stream")
@@ -204,7 +219,8 @@ class SampleBlock:
             return np.fromiter(values, dtype).reshape(len(samples), depth)
 
         return cls(stack("confidence", np.float64), stack("reliability_risk", np.float64),
-                   stack("correct_prob", np.float64), stack("realized_correct", bool))
+                   stack("correct_prob", np.float64), stack("realized_correct", bool),
+                   stack("feat", np.float64))
 
     def __len__(self) -> int:
         return len(self.confidence)
@@ -213,14 +229,16 @@ class SampleBlock:
     def num_layers(self) -> int:
         return self.confidence.shape[1]
 
-    def head(self, num_rounds: int) -> "SampleBlock":
-        """The first num_rounds rows (all of them if there are fewer)."""
-        if num_rounds < 0:
-            raise ValueError("num_rounds must be >= 0")
-        if num_rounds >= len(self):
+    def rows(self, start: int, stop: int) -> "SampleBlock":
+        """Rows start..stop - 1, as a block of views (stop is capped at the
+        block's length; an empty range raises like an empty stream)."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"row range {start}..{stop} needs 0 <= start <= stop")
+        if start == 0 and stop >= len(self):
             return self
-        return SampleBlock(self.confidence[:num_rounds], self.reliability_risk[:num_rounds],
-                           self.correct_prob[:num_rounds], self.realized_correct[:num_rounds])
+        return SampleBlock(self.confidence[start:stop], self.reliability_risk[start:stop],
+                           self.correct_prob[start:stop], self.realized_correct[start:stop],
+                           self.feat[start:stop])
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,7 @@ def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
     row's exit is the number of running-max entries below the threshold; at
     an early exit the running max is the exit score.
     """
-    if not isinstance(samples, SampleBlock):
-        samples = SampleBlock.from_samples(samples)
+    samples = SampleBlock.from_samples(samples)
     if num_layers is not None and samples.num_layers != num_layers:
         raise ValueError("stream depth does not match num_layers")
 

@@ -60,9 +60,9 @@ from .env import (
 )
 from .exits import Criterion
 from .metrics import RunSummary, attach_regret, empirical_risk, summarize
-# train_reliability reads a list stream; the benchmark's traced run also wraps
-# harness.stream
-from .simulator import sample_block, stream
+# stream is kept in this namespace only for the benchmark's traced run, which
+# wraps harness.stream
+from .simulator import sample_block, stream  # noqa: F401
 
 TRACE_HEADER = ("round", "arm", "exit_layer", "score", "reward",
                 "correct_prob", "correct", "cum_regret")
@@ -719,11 +719,11 @@ def train_reliability(config: ExperimentConfig, seed: int, out_dir=None) -> dict
     out of training and used for the AUC report. Writes the model JSON and a
     metrics JSON; returns their paths plus the metrics.
     """
-    samples = stream(config.schedule, config.num_rounds, seed)
-    split = int(round(len(samples) * (1.0 - config.holdout_fraction)))
-    if split < 1 or split >= len(samples):
+    block = sample_block(config.schedule, config.num_rounds, seed)
+    split = int(round(len(block) * (1.0 - config.holdout_fraction)))
+    if split < 1 or split >= len(block):
         raise ConfigError("num_rounds too small for the holdout split")
-    train_samples, held_out = samples[:split], samples[split:]
+    train_samples, held_out = block.rows(0, split), block.rows(split, len(block))
 
     targets = rel.compute_c_from_samples(train_samples)
     dataset = rel.dataset_from_samples(train_samples)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .env import SampleOutcomes
+from .env import SampleBlock, require_finite, require_integer
 
 SCHEMA_NAME = "reliability-linear"
 SCHEMA_VERSION = 1
@@ -41,12 +41,13 @@ class ReliabilityModel:
     num_layers: int
 
     def __post_init__(self):
+        require_integer("num_layers", self.num_layers)
         if self.num_layers < 2:
             raise ValueError("num_layers must be >= 2")
         if len(self.weights) < 3:
             raise ValueError("weights must cover >=1 feature, depth, bias")
-        if not all(math.isfinite(w) for w in self.weights):
-            raise ValueError("non-finite weight")
+        for w in self.weights:
+            require_finite("weight", w)
 
     @property
     def feature_dim(self) -> int:
@@ -64,11 +65,18 @@ class ReliabilityModel:
     @classmethod
     def from_json(cls, text: str) -> "ReliabilityModel":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("reliability model JSON must be an object")
         if payload.get("schema") != SCHEMA_NAME:
             raise ValueError(f"unknown schema {payload.get('schema')!r}")
         if payload.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported version {payload.get('version')!r}")
-        return cls(tuple(payload["weights"]), int(payload["num_layers"]))
+        missing = sorted({"num_layers", "weights"} - payload.keys())
+        if missing:
+            raise ValueError(f"reliability model JSON lacks {missing}")
+        if not isinstance(payload["weights"], list):
+            raise ValueError("weights must be a list")
+        return cls(tuple(payload["weights"]), payload["num_layers"])
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,9 @@ class Hyperparams:
     sharpness: float = SURROGATE_SHARPNESS
 
     def __post_init__(self):
+        require_finite("learning_rate", self.learning_rate)
+        require_integer("epochs", self.epochs)
+        require_finite("sharpness", self.sharpness)
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -145,56 +156,39 @@ class Dataset:
         return self.inputs.shape[1] - 2
 
 
-def dataset_from_samples(samples: Sequence[SampleOutcomes]) -> Dataset:
-    """One training row per (sample, layer), grouped by layer.
+def dataset_from_samples(samples) -> Dataset:
+    """One training row per (sample, layer) of a SampleBlock or an iterable
+    of samples, grouped by layer.
 
-    Rows run layer by layer, in sample order within each layer. The
-    cross-entropy column is the simulator's stand-in for a classifier loss:
-    -log(correct_prob) when the layer's prediction realized correct,
-    -log(1 - correct_prob) otherwise, floored away from log(0).
+    Rows run layer by layer, in sample order within each layer; a row is
+    [confidence, layer/L, feat, layer/L, 1], the scorer's three features
+    plus its depth and bias inputs. The cross-entropy column is the
+    simulator's stand-in for a classifier loss: -log(correct_prob) when the
+    layer's prediction realized correct, -log(1 - correct_prob) otherwise,
+    floored away from log(0).
     """
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    num_layers = samples[0].num_layers
-    if any(s.num_layers != num_layers for s in samples):
-        raise ValueError("mixed num_layers in sample batch")
-    correct = np.array([s.realized_correct for s in samples], dtype=bool).T.ravel()
-    p = np.clip(np.array([s.correct_prob for s in samples], dtype=np.float64),
-                CE_FLOOR, 1.0 - CE_FLOOR).T.ravel()
+    block = SampleBlock.from_samples(samples)
+    num_layers, n = block.num_layers, len(block)
+    correct = block.realized_correct.T.ravel()
+    p = np.clip(block.correct_prob.T, CE_FLOOR, 1.0 - CE_FLOOR).ravel()
     # math.log per element: numpy's log may differ in the last ulp
-    ce = np.array([-math.log(q) if hit else -math.log(1.0 - q)
-                   for q, hit in zip(p.tolist(), correct.tolist())], dtype=np.float64)
-    # the rows [features, layer/L, 1] are written in place as (L, n, F + 2),
-    # after the Python lists above are freed and without a transposed copy
-    features = np.array([s.g_features for s in samples], dtype=np.float64)  # (n, L, F)
-    width = features.shape[-1]
-    inputs = np.empty((num_layers, len(samples), width + 2))
-    inputs[:, :, :width] = features.transpose(1, 0, 2)
+    q = np.where(correct, p, 1.0 - p).tolist()
+    ce = -np.fromiter(map(math.log, q), np.float64, len(q))
     layers = np.arange(1, num_layers + 1)
-    inputs[:, :, width] = (layers / num_layers)[:, None]
-    inputs[:, :, width + 1] = 1.0
+    depth = (layers / num_layers)[:, None]
+    inputs = np.empty((num_layers, n, 5))
+    inputs[:, :, 0] = block.confidence.T
+    inputs[:, :, 1] = depth
+    inputs[:, :, 2] = block.feat.T
+    inputs[:, :, 3] = depth
+    inputs[:, :, 4] = 1.0
     return Dataset(
-        inputs=inputs.reshape(-1, width + 2),
+        inputs=inputs.reshape(-1, 5),
         cross_entropy=ce,
-        layer_index=np.repeat(layers, len(samples)),
+        layer_index=np.repeat(layers, n),
         correct=correct,
         num_layers=num_layers,
     )
-
-
-def score(model: ReliabilityModel, features: Sequence[float], layer_index: int) -> float:
-    """Reliability of one layer's output, in (0, 1)."""
-    if len(features) != model.feature_dim:
-        raise ValueError(
-            f"expected {model.feature_dim} features, got {len(features)}"
-        )
-    if not (1 <= layer_index <= model.num_layers):
-        raise ValueError(f"layer_index {layer_index} outside 1..{model.num_layers}")
-    x = np.asarray(
-        (*features, layer_index / model.num_layers, 1.0), dtype=np.float64
-    )
-    w = np.asarray(model.weights, dtype=np.float64)
-    return float(_sigmoid(np.dot(w, x)))
 
 
 def batch_scores(model: ReliabilityModel, dataset: Dataset) -> np.ndarray:
@@ -229,8 +223,10 @@ def compute_c(validation: Sequence[Sequence[bool]]) -> CoverageTargets:
     return CoverageTargets(tuple(float(v) for v in arr.mean(axis=0)))
 
 
-def compute_c_from_samples(samples: Sequence[SampleOutcomes]) -> CoverageTargets:
-    return compute_c([s.realized_correct for s in samples])
+def compute_c_from_samples(samples) -> CoverageTargets:
+    """compute_c of the realized-correct column of a SampleBlock or an
+    iterable of samples."""
+    return compute_c(SampleBlock.from_samples(samples).realized_correct)
 
 
 def objective(
@@ -348,25 +344,6 @@ def train(
             loss_history.append(loss)
         w -= hyperparams.learning_rate * grad
     return ReliabilityModel(tuple(float(v) for v in w), dataset.num_layers)
-
-
-def rescore_sample(model: ReliabilityModel, sample: SampleOutcomes) -> SampleOutcomes:
-    """Replace the generator's reliability risks with the trained scorer's.
-
-    Everything else (confidence, correctness, features) is untouched, so the
-    rescored stream isolates the effect of the learned scorer.
-    """
-    if sample.num_layers != model.num_layers:
-        raise ValueError("model depth does not match sample depth")
-    risk = tuple(1.0 - score(model, features, i)
-                 for i, features in enumerate(sample.g_features, start=1))
-    return replace(sample, reliability_risk=risk)
-
-
-def rescore_stream(
-    model: ReliabilityModel, samples: Sequence[SampleOutcomes]
-) -> list[SampleOutcomes]:
-    return [rescore_sample(model, s) for s in samples]
 
 
 def loss_interference_experiment(

@@ -1,7 +1,7 @@
 """Synthetic multi-exit inference stream.
 
 Each round yields one sample with per-layer (confidence, reliability risk,
-correctness) outcomes drawn from a parametric generative model:
+correctness, feature) outcomes drawn from a parametric generative model:
 
     difficulty     d ~ Normal(0, difficulty_spread)
     correct_prob_i = logistic(depth_gain * i/L - d - drag * confidence_noise)
@@ -33,11 +33,11 @@ against SeedSequence and PCG64 themselves. Identical (schedule, num_rounds,
 seed) inputs therefore yield bit-identical streams, and each round is
 reproducible in isolation (`generate_sample` is the one-row case).
 
-Both stream forms come from the same transformed arrays: `iter_samples` and
-`stream` build one SampleOutcomes per row, and `sample_block` concatenates
-the confidence, risk, correct-prob and realized arrays into one read-only
-SampleBlock, equal to the stacked stream bit for bit. A shorter stream is a
-prefix of a longer one in either form.
+Both stream forms come from the same five transformed arrays (confidence,
+risk, correct prob, realized and feature): `iter_samples` and `stream` build
+one SampleOutcomes per row, and `sample_block` concatenates them into one
+read-only SampleBlock, equal to the stacked stream bit for bit. A shorter
+stream is a prefix of a longer one in either form.
 """
 
 from __future__ import annotations
@@ -129,12 +129,9 @@ def _columns(params, Z, U, F, corrupted) -> tuple:
 
 def _samples(columns) -> Iterator[SampleOutcomes]:
     """One SampleOutcomes per row of a pass's _columns arrays."""
-    conf, risk, cp, realized, feat = columns
-    L = conf.shape[1]
-    depth = (np.arange(1, L + 1) / L).tolist()  # every sample's features share these floats
-    for c, k, p, b, f in zip(conf.tolist(), risk.tolist(), cp.tolist(),
-                             realized.tolist(), feat.tolist()):
-        yield SampleOutcomes(tuple(c), tuple(k), tuple(p), tuple(b), tuple(zip(c, depth, f)))
+    conf, risk, cp, realized, feat = (column.tolist() for column in columns)
+    for c, k, p, b, f in zip(conf, risk, cp, realized, feat):
+        yield SampleOutcomes(tuple(c), tuple(k), tuple(p), tuple(b), tuple(f))
 
 
 def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> SampleOutcomes:
@@ -255,7 +252,7 @@ def stream(schedule: ShiftSchedule, num_rounds: int, seed: int) -> list[SampleOu
 
 
 def sample_block(schedule: ShiftSchedule, num_rounds: int, seed: int) -> SampleBlock:
-    """The same stream as one SampleBlock: stream's first four fields, stacked."""
+    """The same stream as one SampleBlock: stream's samples, stacked."""
     _check_stream_args(num_rounds, seed)
-    passes = [columns[:4] for columns in _passes(schedule, num_rounds, seed)]
-    return SampleBlock(*(np.concatenate(column) for column in zip(*passes)))
+    columns = zip(*_passes(schedule, num_rounds, seed))
+    return SampleBlock(*(np.concatenate(column) for column in columns))

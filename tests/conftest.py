@@ -30,8 +30,7 @@ def make_sample(scores, cps=None, realized=None):
         reliability_risk=(0.0,) * L,
         correct_prob=tuple(float(c) for c in cps),
         realized_correct=tuple(bool(r) for r in realized),
-        g_features=tuple((float(s), i / L, float(c))
-                         for i, (s, c) in enumerate(zip(scores, cps), start=1)),
+        feat=tuple(float(c) for c in cps),
     )
 
 
@@ -47,7 +46,7 @@ def two_layer_noisy_stream(num_rounds, seed, lo1=0.55, hi1=0.95, lo2=0.45, hi2=0
     c1 = rng.uniform(lo1, hi1, num_rounds)
     c2 = rng.uniform(lo2, hi2, num_rounds)
     return [
-        SampleOutcomes((a, b), (0.0, 0.0), (1.0, 1.0), (True, True), ((a, 0.5, 1.0), (b, 1.0, 1.0)))
+        SampleOutcomes((a, b), (0.0, 0.0), (1.0, 1.0), (True, True), (1.0, 1.0))
         for a, b in zip(c1.tolist(), c2.tolist())
     ]
 

@@ -165,7 +165,7 @@ def landscape_runs():
         block = sample_block(sch, 50_000, seed)
         tr50, best = run_many([UcbPolicy(G), FixedPolicy(BEST_ARM)],
                               block, RP, grid=G, num_rounds=50_000, seed=seed)
-        tr5 = run(G, block.head(5_000), RP, num_rounds=5_000, seed=seed)
+        tr5 = run(G, block.rows(0, 5_000), RP, num_rounds=5_000, seed=seed)
         per_seed.append({
             "r50": cumulative_regret(tr50, MEANS),
             "r5": cumulative_regret(tr5, MEANS),

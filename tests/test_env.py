@@ -92,7 +92,7 @@ class TestSampleOutcomes:
     def columns(self, **overrides):
         sample = make_sample([0.5, 0.9], cps=[0.7, 0.8])
         columns = {name: getattr(sample, name) for name in (
-            "confidence", "reliability_risk", "correct_prob", "realized_correct", "g_features")}
+            "confidence", "reliability_risk", "correct_prob", "realized_correct", "feat")}
         return {**columns, **overrides}
 
     def test_fewer_than_two_layers_rejected(self):
@@ -101,7 +101,7 @@ class TestSampleOutcomes:
             SampleOutcomes(**one)
 
     @pytest.mark.parametrize("name", ["reliability_risk", "correct_prob",
-                                      "realized_correct", "g_features"])
+                                      "realized_correct", "feat"])
     def test_unequal_columns_rejected(self, name):
         columns = self.columns()
         with pytest.raises(ValueError, match="differ in length"):

@@ -52,12 +52,11 @@ def samples_of_depth(draw, num_layers, min_size=1, max_size=12, confidences=CONF
     rounds = draw(st.integers(min_value=min_size, max_value=max_size))
     out = []
     for _ in range(rounds):
-        layers = []  # one (conf, risk, cp, realized, features) row per layer
-        for i in range(1, num_layers + 1):
+        layers = []  # one (conf, risk, cp, realized, feat) row per layer
+        for _ in range(num_layers):
             conf, risk = draw(confidences), draw(RISKS)
             cp = draw(st.floats(min_value=0.0, max_value=1.0))
-            layers.append((conf, risk, cp, draw(st.booleans()),
-                           (conf, i / num_layers, 1.0 - risk)))
+            layers.append((conf, risk, cp, draw(st.booleans()), 1.0 - risk))
         out.append(SampleOutcomes(*zip(*layers)))
     return out
 
@@ -293,9 +292,9 @@ def test_generated_outcomes_hold_plain_floats():
     params = GeneratorParams(num_layers=6, overconfidence_rate=1.0, seed=3)
     for sample in stream(ShiftSchedule.constant(params), 50, seed=7):
         columns = (sample.confidence, sample.reliability_risk, sample.correct_prob,
-                   sample.realized_correct, sample.g_features, *sample.g_features)
+                   sample.realized_correct, sample.feat)
         assert all(type(column) is tuple for column in columns)
         for column in (sample.confidence, sample.reliability_risk, sample.correct_prob,
-                       *sample.g_features):
+                       sample.feat):
             assert all(type(v) is float for v in column)
         assert all(type(v) is bool for v in sample.realized_correct)

@@ -84,8 +84,7 @@ class TestDecide:
 
     def test_criterion_changes_the_exit(self):
         # confident but risky first layer: confidence clears 0.6, product does not
-        sample = SampleOutcomes((0.9, 0.5), (0.5, 0.0), (0.8, 0.9), (True, True),
-                                ((0.9, 0.5, 0.8), (0.5, 1.0, 0.9)))
+        sample = SampleOutcomes((0.9, 0.5), (0.5, 0.0), (0.8, 0.9), (True, True), (0.8, 0.9))
         assert decide(sample, 0.6, Criterion.CONFIDENCE).exit_layer == 1
         assert decide(sample, 0.6, Criterion.PRODUCT).exit_layer == 2
 

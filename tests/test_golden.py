@@ -225,9 +225,13 @@ def edge_stream_samples(name: str) -> list:
 
 
 def _layers(sample):
-    """(confidence, risk, correct_prob, realized, features) per layer, in order."""
+    """(confidence, risk, correct_prob, realized, features) per layer, in order;
+    the features are the scorer's (confidence, layer/L, feat)."""
+    L = sample.num_layers
+    features = ((c, i / L, f) for i, (c, f) in
+                enumerate(zip(sample.confidence, sample.feat), start=1))
     return zip(sample.confidence, sample.reliability_risk, sample.correct_prob,
-               sample.realized_correct, sample.g_features)
+               sample.realized_correct, features)
 
 
 def stream_digest(samples) -> str:

@@ -203,32 +203,26 @@ class TestDelta1Hat:
     @pytest.mark.xfail(
         strict=True,
         reason="the trained scorer is rank-calibrated, not value-calibrated: "
-        "its scores sit in a narrow band regardless of regime, so the "
-        "measured disagreement with the true correctness probability stays "
-        "near 1.0 instead of the targeted 0.15",
+        "its scores sit in a narrow band (0.46-0.60) regardless of regime, so "
+        "the measured disagreement with the true correctness probability is "
+        "0.92 of the holdout rows instead of the targeted 0.15",
     )
     def test_trained_scorer_value_calibration(self):
-        from exitbandit import (
-            compute_c_from_samples,
-            dataset_from_samples,
-            default_grid,
-            rescore_stream,
-            run,
-            train,
-        )
+        from exitbandit import compute_c_from_samples, dataset_from_samples, train
+        from exitbandit.reliability import batch_scores
+        from exitbandit.simulator import sample_block
 
-        params = GeneratorParams(reliability_signal=0.9)
-        sch = ShiftSchedule.constant(params)
-        train_samples = stream(sch, 1500, seed=31)
+        sch = ShiftSchedule.constant(GeneratorParams(reliability_signal=0.9))
+        train_block = sample_block(sch, 1500, seed=31)
         model = train(
-            dataset_from_samples(train_samples),
-            compute_c_from_samples(train_samples),
+            dataset_from_samples(train_block),
+            compute_c_from_samples(train_block),
         )
-        test_samples = rescore_stream(model, stream(sch, 3000, seed=33))
-        trace = run(
-            default_grid(), test_samples, RewardParams(lam=0.01 / 12, num_layers=12)
-        )
-        assert delta1_hat(trace, 0.2) <= 0.15
+        holdout = sample_block(sch, 3000, seed=33)
+        scores = batch_scores(model, dataset_from_samples(holdout))
+        # a Dataset's rows run layer by layer, so the block's columns go in transposed
+        correct_prob = holdout.correct_prob.T.ravel()
+        assert np.mean(np.abs(scores - correct_prob) > 0.2) <= 0.15
 
 
 def joint_score(confidence, correctness):

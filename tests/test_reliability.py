@@ -13,7 +13,6 @@ from exitbandit import (
     ShiftSchedule,
     compute_c_from_samples,
     dataset_from_samples,
-    rescore_stream,
     stream,
     train,
 )
@@ -34,9 +33,8 @@ from exitbandit.reliability import (
     loss_interference_experiment,
     objective_gradient,
     per_exit_coverage,
-    rescore_sample,
-    score,
 )
+from exitbandit.simulator import sample_block
 
 
 def logit(p):
@@ -62,35 +60,25 @@ def crafted_dataset(values, layers, num_layers=2):
 
 class TestScore:
     def test_zero_weights_score_half(self):
-        model = ReliabilityModel((0.0, 0.0, 0.0), num_layers=4)
-        assert score(model, (3.7,), 2) == 0.5
+        model = ReliabilityModel((0.0, 0.0, 0.0), num_layers=2)
+        assert batch_scores(model, crafted_dataset([3.7, -1.0], [1, 2])).tolist() == [0.5, 0.5]
 
     def test_matches_manual_sigmoid(self):
         model = ReliabilityModel((0.3, -0.2, 0.1, 0.4), num_layers=4)
+        ds = Dataset(np.array([[1.5, 0.25, 3 / 4, 1.0]]), np.zeros(1), np.array([1]),
+                     np.ones(1, dtype=bool), 1)
         z = 0.3 * 1.5 - 0.2 * 0.25 + 0.1 * (3 / 4) + 0.4
-        assert score(model, (1.5, 0.25), 3) == pytest.approx(
+        assert batch_scores(model, ds)[0] == pytest.approx(
             1.0 / (1.0 + math.exp(-z)), abs=1e-15
         )
-
-    def test_feature_dim_mismatch(self):
-        model = ReliabilityModel((0.1, 0.2, 0.3), num_layers=4)
-        with pytest.raises(ValueError, match="features"):
-            score(model, (1.0, 2.0), 1)
-
-    def test_layer_out_of_range(self):
-        model = ReliabilityModel((0.1, 0.2, 0.3), num_layers=4)
-        for layer in (0, 5):
-            with pytest.raises(ValueError, match="layer_index"):
-                score(model, (1.0,), layer)
 
     def test_batch_matches_pointwise(self):
         model = ReliabilityModel((0.7, -0.3, 0.2), num_layers=2)
         ds = crafted_dataset([0.4, -1.2, 2.0], [1, 1, 2])
         batched = batch_scores(model, ds)
-        for k in range(3):
-            assert batched[k] == pytest.approx(
-                score(model, (ds.inputs[k, 0],), int(ds.layer_index[k])), abs=1e-15
-            )
+        for k, (x, layer) in enumerate(((0.4, 1), (-1.2, 1), (2.0, 2))):
+            z = 0.7 * x - 0.3 * (layer / 2) + 0.2
+            assert batched[k] == pytest.approx(1.0 / (1.0 + math.exp(-z)), abs=1e-15)
 
     def test_batch_feature_dim_mismatch(self):
         model = ReliabilityModel((0.1, 0.2, 0.3, 0.4), num_layers=2)
@@ -111,6 +99,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ReliabilityModel((0.1, math.nan, 0.3), num_layers=4)
 
+    @pytest.mark.parametrize("num_layers", [12.0, 12.7, True, "12"])
+    def test_rejects_non_integer_depth(self, num_layers):
+        with pytest.raises(ValueError, match="num_layers must be an integer"):
+            ReliabilityModel((0.1, 0.2, 0.3), num_layers=num_layers)
+
+    @pytest.mark.parametrize("weight", [True, "0.2", None])
+    def test_rejects_non_number_weights(self, weight):
+        with pytest.raises(ValueError, match="weight must be a finite number"):
+            ReliabilityModel((0.1, weight, 0.3), num_layers=4)
+
 
 class TestModelJson:
     def test_round_trip_is_bit_exact(self):
@@ -128,6 +126,32 @@ class TestModelJson:
         payload = json.loads(ReliabilityModel((0.1, 0.2, 0.3), 4).to_json())
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            ReliabilityModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("num_layers", [12.7, 12.0, "12", True])
+    def test_rejects_non_integer_depth(self, num_layers):
+        payload = json.loads(ReliabilityModel((0.1, 0.2, 0.3), 12).to_json())
+        payload["num_layers"] = num_layers
+        with pytest.raises(ValueError, match="num_layers must be an integer"):
+            ReliabilityModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("weights", [[0.1, True, 0.3], [0.1, "0.2", 0.3], "0.1", 0.1])
+    def test_rejects_non_number_weights(self, weights):
+        payload = json.loads(ReliabilityModel((0.1, 0.2, 0.3), 4).to_json())
+        payload["weights"] = weights
+        with pytest.raises(ValueError, match="weight"):
+            ReliabilityModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"model"'])
+    def test_rejects_non_object_payload(self, text):
+        with pytest.raises(ValueError, match="must be an object"):
+            ReliabilityModel.from_json(text)
+
+    @pytest.mark.parametrize("key", ["num_layers", "weights"])
+    def test_rejects_missing_key(self, key):
+        payload = json.loads(ReliabilityModel((0.1, 0.2, 0.3), 4).to_json())
+        del payload[key]
+        with pytest.raises(ValueError, match=f"lacks \\['{key}'\\]"):
             ReliabilityModel.from_json(json.dumps(payload))
 
 
@@ -237,13 +261,24 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(sharpness=-1.0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "sharpness"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.1"])
+    def test_rejects_non_finite_rates(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            Hyperparams(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 500.0, True, "500"])
+    def test_rejects_non_integer_epochs(self, bad):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            Hyperparams(epochs=bad)
+
 
 class TestDatasetFromSamples:
     def test_one_row_per_sample_layer(self):
         samples = stream(ShiftSchedule.constant(GeneratorParams()), 5, seed=1)
         ds = dataset_from_samples(samples)
         assert len(ds) == 5 * 12
-        assert ds.feature_dim == len(samples[0].g_features[0])
+        assert ds.feature_dim == 3  # confidence, layer/L, feat
         np.testing.assert_array_equal(ds.inputs[:, -1], 1.0)
 
     def test_columns_equal_a_per_layer_loop(self):
@@ -253,7 +288,8 @@ class TestDatasetFromSamples:
         rows, ce = [], []
         for i in range(5):
             for s in samples:
-                rows.append([*s.g_features[i], (i + 1) / s.num_layers, 1.0])
+                depth = (i + 1) / s.num_layers
+                rows.append([s.confidence[i], depth, s.feat[i], depth, 1.0])
                 p = min(max(s.correct_prob[i], CE_FLOOR), 1.0 - CE_FLOOR)
                 ce.append(-math.log(p) if s.realized_correct[i] else -math.log(1.0 - p))
         assert ds.inputs.tolist() == rows
@@ -274,7 +310,7 @@ class TestDatasetFromSamples:
         assert np.all(np.isfinite(ds.cross_entropy))
 
     def test_mixed_depth_rejected(self):
-        with pytest.raises(ValueError, match="num_layers"):
+        with pytest.raises(ValueError, match="depth"):
             dataset_from_samples(
                 [make_sample([0.5, 0.6]), make_sample([0.5, 0.6, 0.7])]
             )
@@ -282,6 +318,16 @@ class TestDatasetFromSamples:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dataset_from_samples([])
+
+    def test_block_and_list_give_byte_identical_datasets(self):
+        schedule = ShiftSchedule.constant(GeneratorParams(num_layers=7))
+        block, samples = sample_block(schedule, 300, 9), stream(schedule, 300, 9)
+        from_block, from_list = dataset_from_samples(block), dataset_from_samples(samples)
+        for name in ("inputs", "cross_entropy", "layer_index", "correct"):
+            a, b = getattr(from_block, name), getattr(from_list, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        assert compute_c_from_samples(block) == compute_c_from_samples(samples)
 
 
 class TestGradient:
@@ -422,11 +468,10 @@ class TestTrain:
             realized = tuple(x > 0 for x in xs)
             cps = tuple(float(math.exp(-0.05)) if r else float(1 - math.exp(-3.0))
                         for r in realized)
-            features = tuple((x, i / 2, 0.5) for i, x in enumerate(xs, start=1))
-            samps.append(SampleOutcomes((0.5, 0.5), (0.5, 0.5), cps, realized, features))
+            samps.append(SampleOutcomes((0.5, 0.5), (0.5, 0.5), cps, realized, tuple(xs)))
         ds = dataset_from_samples(samps)
         model = train(ds, compute_c_from_samples(samps))
-        assert model.weights[0] > 0
+        assert model.weights[2] > 0  # the feat weight
         assert auc_score(batch_scores(model, ds), ds.correct) >= 0.99
 
     def test_coverage_floors_prevent_collapse(self):
@@ -515,29 +560,6 @@ class TestAucScore:
             labels = np.arange(n) % 3 == 0
             rng.shuffle(labels)
             assert auc_score(scores, labels) == loop_auc_score(scores, labels)
-
-
-class TestRescore:
-    def test_replaces_only_the_risk_column(self):
-        model = ReliabilityModel((0.0, 0.0, 0.0, 0.0, 0.0), num_layers=2)
-        sample = make_sample([0.5, 0.9], cps=[0.7, 0.8], realized=[True, False])
-        rescored = rescore_sample(model, sample)
-        assert rescored.reliability_risk == (0.5, 0.5)
-        assert rescored.confidence == sample.confidence
-        assert rescored.correct_prob == sample.correct_prob
-        assert rescored.realized_correct == sample.realized_correct
-        assert rescored.g_features == sample.g_features
-
-    def test_stream_maps_every_sample(self):
-        model = ReliabilityModel((0.0, 0.0, 0.0, 0.0, 0.0), num_layers=2)
-        out = rescore_stream(model, [make_sample([0.5, 0.9])] * 3)
-        assert len(out) == 3
-        assert all(s.reliability_risk[0] == 0.5 for s in out)
-
-    def test_depth_mismatch_rejected(self):
-        model = ReliabilityModel((0.0, 0.0, 0.0, 0.0, 0.0), num_layers=12)
-        with pytest.raises(ValueError, match="depth"):
-            rescore_sample(model, make_sample([0.5, 0.9]))
 
 
 class TestInterference:

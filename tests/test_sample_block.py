@@ -1,11 +1,13 @@
 """SampleBlock: the stream as (T, L) columns.
 
-sample_block must hold exactly the first four fields of stream(), bit for
-bit (-0.0 included), for the golden and edge configs; a shorter block must
+sample_block must hold exactly the five fields of stream(), bit for bit
+(-0.0 included), for the golden and edge configs; a shorter block must
 be a prefix of a longer one across pass and seeding-block edges; and the
 runner must record the same traces, and raise the same errors, from a block
 as from the list of samples.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from exitbandit import (
     FixedPolicy,
     GeneratorParams,
     RewardParams,
+    SampleOutcomes,
     ShiftSchedule,
     UcbPolicy,
     default_grid,
@@ -26,7 +29,7 @@ from exitbandit.harness import parse_config
 from exitbandit.simulator import sample_block
 from test_golden import CONFIGS, EDGE_STREAMS
 
-COLUMNS = ("confidence", "reliability_risk", "correct_prob", "realized_correct")
+COLUMNS = ("confidence", "reliability_risk", "correct_prob", "realized_correct", "feat")
 TRACE_ARRAYS = ("exit_layers", "scores", "rewards", "correct_probs", "realized",
                 "reliabilities")
 
@@ -67,6 +70,7 @@ def test_from_samples_equals_sample_block():
     schedule, num_rounds, seed = INPUTS["shift"]
     block = SampleBlock.from_samples(stream(schedule, num_rounds, seed))
     assert_same_columns(block, stream(schedule, num_rounds, seed))
+    assert SampleBlock.from_samples(block) is block
 
 
 @pytest.mark.parametrize("name", ["default", "shift_in_and_on_block"])
@@ -89,10 +93,17 @@ def test_arguments_checked_like_stream():
         assert str(from_block.value) == str(from_stream.value)
 
 
+def test_sample_and_block_declare_the_same_columns():
+    # a sample is a row of the block: same fields, same order
+    names = [f.name for f in dataclasses.fields(SampleOutcomes)]
+    assert names == [f.name for f in dataclasses.fields(SampleBlock)] == list(COLUMNS)
+
+
 def columns(rows=4, layers=3):
     rng = np.random.default_rng(0)
     return [rng.random((rows, layers)), rng.random((rows, layers)),
-            rng.random((rows, layers)), rng.random((rows, layers)) < 0.5]
+            rng.random((rows, layers)), rng.random((rows, layers)) < 0.5,
+            rng.normal(size=(rows, layers))]
 
 
 class TestValidation:
@@ -105,7 +116,7 @@ class TestValidation:
             SampleBlock(*cols)
 
     def test_mismatched_shapes_rejected(self):
-        for position in range(4):
+        for position in range(5):
             cols = columns()
             cols[position] = cols[position][:, :2]
             with pytest.raises(ValueError):
@@ -128,9 +139,17 @@ class TestValidation:
         cols[3] = cols[3].astype(np.float64)
         with pytest.raises(ValueError, match="bool"):
             SampleBlock(*cols)
+        for position in (0, 4):
+            cols = columns()
+            cols[position] = cols[position].astype(np.float32)
+            with pytest.raises(ValueError, match="float64"):
+                SampleBlock(*cols)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feat_rejected(self, bad):
         cols = columns()
-        cols[0] = cols[0].astype(np.float32)
-        with pytest.raises(ValueError, match="float64"):
+        cols[4][1, 2] = bad
+        with pytest.raises(ValueError, match="feat=.* not finite"):
             SampleBlock(*cols)
 
     def test_arrays_are_read_only(self):
@@ -140,7 +159,20 @@ class TestValidation:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0, 0] = column[0, 1]
-        assert not block.head(4).confidence.flags.writeable
+        assert not block.rows(0, 4).confidence.flags.writeable
+
+    def test_rows_are_a_row_range(self):
+        block = sample_block(ShiftSchedule.constant(GeneratorParams()), 10, 0)
+        assert block.rows(0, 10) is block and block.rows(0, 99) is block
+        for start, stop in ((0, 4), (3, 7), (9, 10), (6, 99)):
+            part = block.rows(start, stop)
+            for name in COLUMNS:
+                assert getattr(part, name).tobytes() == getattr(block, name)[start:stop].tobytes()
+        with pytest.raises(ValueError, match="empty sample stream"):
+            block.rows(10, 10)
+        for start, stop in ((-1, 4), (5, 4)):
+            with pytest.raises(ValueError, match="start <= stop"):
+                block.rows(start, stop)
 
 
 # lockstep_shift's two-segment schedule, at 1100 rounds

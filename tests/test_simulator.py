@@ -237,7 +237,7 @@ def scalar_reference_sample(params, rng):
             realized = realized_u[i - 1] < cp
             conf = _clamp01(cp * (1.0 if realized else -1.0) + conf_noise[i - 1])
         feat = cp * rs + feat_noise[i - 1]
-        layers.append((conf, 1.0 - _clamp01(feat), cp, realized, (conf, i / L, feat)))
+        layers.append((conf, 1.0 - _clamp01(feat), cp, realized, feat))
     return SampleOutcomes(*zip(*layers))
 
 
@@ -283,7 +283,7 @@ class TestSampleShape:
             assert s.num_layers == 12
             for column in (s.confidence, s.reliability_risk, s.correct_prob):
                 assert all(0.0 <= v <= 1.0 for v in column)
-            assert all(len(features) == 3 for features in s.g_features)
+            assert all(math.isfinite(v) for v in s.feat)
 
     def test_realized_rate_tracks_correct_prob(self):
         sch = ShiftSchedule.constant(GeneratorParams(overconfidence_rate=0.0))
