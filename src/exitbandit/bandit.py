@@ -28,7 +28,9 @@ import numpy as np
 from .env import SampleBlock, ThresholdGrid
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
-from .exits import Criterion, ExitDecision, block_rounds, decide, exit_at, scored_row  # noqa: F401
+from .exits import (  # noqa: F401
+    Criterion, ExitDecision, _exit_table, block_rounds, decide, exit_at, planned_exits, scored_row,
+)
 
 
 class RewardVariant(enum.Enum):
@@ -233,57 +235,41 @@ class RunTrace:
         return len(self.arms)
 
 
-def run_policy(
-    policy,
-    samples,
-    reward_params: RewardParams,
-    criterion: Optional[Criterion] = None,
-    *,
-    grid: Optional[ThresholdGrid] = None,
-    label: Optional[str] = None,
-    seed: Optional[int] = None,
-    num_rounds: Optional[int] = None,
-) -> RunTrace:
+def run_policy(policy, samples, reward_params: RewardParams,
+               criterion: Optional[Criterion] = None, *, grid: Optional[ThresholdGrid] = None,
+               label: Optional[str] = None, seed: Optional[int] = None,
+               num_rounds: Optional[int] = None) -> RunTrace:
     """Drive any arm-picking policy over a sample stream and record the trace.
 
-    policy must expose select(round_number) -> threshold-or-None and
-    observe(arm, reward_value). A None arm forces a final-layer exit.
+    policy follows run_many's protocol. A None arm forces a final-layer exit.
     samples is a SampleBlock or any iterable of samples (a generator
     streams without materializing); num_rounds, when given, truncates after
     that many samples.
     """
-    traces = run_many(
-        [policy],
-        samples,
-        reward_params,
-        criterion,
-        grid=grid,
-        labels=None if label is None else [label],
-        seed=seed,
-        num_rounds=num_rounds,
-    )
-    return traces[0]
+    return run_many([policy], samples, reward_params, criterion, grid=grid,
+                    labels=None if label is None else [label], seed=seed,
+                    num_rounds=num_rounds)[0]
 
 
-def run_many(
-    policies,
-    samples,
-    reward_params: RewardParams,
-    criterion: Optional[Criterion] = None,
-    *,
-    grid: Optional[ThresholdGrid] = None,
-    labels: Optional[list] = None,
-    seed: Optional[int] = None,
-    num_rounds: Optional[int] = None,
-) -> list[RunTrace]:
+def run_many(policies, samples, reward_params: RewardParams,
+             criterion: Optional[Criterion] = None, *, grid: Optional[ThresholdGrid] = None,
+             labels: Optional[list] = None, seed: Optional[int] = None,
+             num_rounds: Optional[int] = None) -> list[RunTrace]:
     """Run several policies in lockstep over one shared sample stream.
+
+    A policy exposes select(round_number) -> threshold-or-None and
+    observe(arm, reward_value), called once per round. A policy whose arms
+    do not depend on its rewards may instead declare them: a callable
+    planned_arms(num_rounds) returning the list select would give over that
+    many rounds. Declared policies are answered after the loop from the
+    stream's exit table, and their select and observe are not called.
 
     samples is a SampleBlock or any iterable of samples. Every policy sees
     the identical samples (common random numbers), so cross-policy
     comparisons are paired. Each round's layers are scored once into an
     exit-table row, however many policies play (see exits.exit_at). An
-    iterable is read one sample per round, after every policy has played the
-    round before. Returns one RunTrace per policy, in input order.
+    iterable is read one sample per round, after every undeclared policy has
+    played the round before. Returns one RunTrace per policy, in input order.
     """
     if criterion is None:
         criterion = natural_criterion(reward_params.variant)
@@ -295,22 +281,55 @@ def run_many(
     if any(g is None for g in grids):
         raise ValueError("pass grid= for policies that do not carry one")
     num_layers = reward_params.num_layers
-
-    # per policy: the policy, then its arms, exit layers, scores and rewards
-    tracks = [(policy, [], [], [], []) for policy in policies]
-
     layer_cost = reward_params.layer_cost
-    # per round: the sample's exit-table row; the columns read at the exits
-    # are gathered after the loop
+
+    declared = [callable(getattr(p, "planned_arms", None)) for p in policies]
+    # per undeclared policy: the policy, then its arms, exit layers, scores and rewards
+    tracks = [(policy, [], [], [], []) for policy, d in zip(policies, declared) if not d]
     if isinstance(samples, SampleBlock):
         if samples.num_layers != num_layers:
             raise ValueError("stream depth does not match reward_params.num_layers")
-        rows = block_rounds(samples, criterion)
+        block = samples if num_rounds is None else samples.rows(0, num_rounds)
+        t = _play(tracks, block_rounds(block, criterion), layer_cost) if tracks else len(block)
+        columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
+        table = (_exit_table(block.confidence, block.reliability_risk, criterion)
+                 if any(declared) else None)
     else:
+        # per round: the sample's correct_prob, realized_correct and
+        # reliability_risk, and its exit-table row if a policy is declared
         packed = (array.array("d"), bytearray(), array.array("d"))
-        rows = _packed_rows(samples, criterion, num_layers, *packed)
-    if num_rounds is not None:
-        rows = itertools.islice(rows, num_rounds)
+        flat_table = array.array("d") if any(declared) else None
+        rows = _packed_rows(samples, criterion, num_layers, *packed, flat_table)
+        t = _play(tracks, itertools.islice(rows, num_rounds), layer_cost)
+        if t == 0:
+            raise ValueError("empty sample stream")
+        columns = [np.frombuffer(buf, dtype).reshape(t, num_layers)
+                   for buf, dtype in zip(packed, (np.float64, bool, np.float64))]
+        table = None if flat_table is None else np.frombuffer(flat_table).reshape(t, num_layers)
+
+    # every declared policy's arms are checked before any trace is built
+    played = iter(tracks)
+    records = []
+    for policy, is_declared in zip(policies, declared):
+        if is_declared:
+            arms = list(policy.planned_arms(t))
+            if len(arms) != t:
+                raise ValueError(f"planned_arms gave {len(arms)} arms for {t} rounds")
+            exit_layers, scores = planned_exits(table, arms)
+            records.append((arms, exit_layers, scores,
+                            exit_reward(scores, exit_layers, layer_cost)))
+        else:
+            records.append(next(played)[1:])
+    return [
+        gather_trace(labels[j] if labels is not None else getattr(policy, "name", "policy"),
+                     *record, columns, grid=grids[j], reward_params=reward_params,
+                     criterion=criterion, seed=seed)
+        for j, (policy, record) in enumerate(zip(policies, records))
+    ]
+
+
+def _play(tracks, rows, layer_cost) -> int:
+    """Play each track's policy on every row, in lockstep; the rows played."""
     t = 0
     for t, (prefix_max, final_score) in enumerate(rows, start=1):
         for policy, arms, exit_layers, scores, rewards in tracks:
@@ -322,27 +341,15 @@ def run_many(
             exit_layers.append(layer)
             scores.append(s)
             rewards.append(r)
-    if t == 0:
-        raise ValueError("empty sample stream")
-
-    if isinstance(samples, SampleBlock):
-        block = samples.rows(0, t)
-        columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
-    else:
-        columns = [np.frombuffer(buf, dtype).reshape(t, num_layers)
-                   for buf, dtype in zip(packed, (np.float64, bool, np.float64))]
-    return [
-        gather_trace(labels[j] if labels is not None else getattr(policy, "name", "policy"),
-                     *track, columns, grid=grids[j], reward_params=reward_params,
-                     criterion=criterion, seed=seed)
-        for j, (policy, *track) in enumerate(tracks)
-    ]
+    return t
 
 
-def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliability_risk):
+def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliability_risk,
+                 table):
     """scored_row of each sample, pulled one at a time; its correct_prob,
-    realized_correct and reliability_risk are appended to the given buffers
-    as it is read, so the samples themselves are not kept."""
+    realized_correct and reliability_risk (and, when table is not None, the
+    row itself, flat) are appended to the given buffers as it is read, so
+    the samples themselves are not kept."""
     for sample in samples:
         conf, risk = sample.confidence, sample.reliability_risk
         if len(conf) != num_layers:
@@ -350,7 +357,11 @@ def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliabi
         correct_prob.extend(sample.correct_prob)
         realized.extend(map(bool, sample.realized_correct))  # numpy bools have no __index__
         reliability_risk.extend(risk)
-        yield scored_row(conf, risk, criterion)
+        row = scored_row(conf, risk, criterion)
+        if table is not None:
+            table.extend(row[0])
+            table.append(row[1])
+        yield row
 
 
 def gather_trace(policy: str, arms, exit_layers, scores, rewards, columns, *,
@@ -384,12 +395,8 @@ class UcbPolicy:
 
     name = "ucb"
 
-    def __init__(
-        self,
-        grid: ThresholdGrid,
-        gamma: float = math.sqrt(2.0),
-        horizon: Optional[int] = None,
-    ):
+    def __init__(self, grid: ThresholdGrid, gamma: float = math.sqrt(2.0),
+                 horizon: Optional[int] = None):
         if horizon is not None and horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.grid = grid
@@ -406,16 +413,9 @@ class UcbPolicy:
         self.state.update_index(self._last_index, reward_value)
 
 
-def run(
-    grid: ThresholdGrid,
-    samples,
-    params: RewardParams,
-    gamma: float = math.sqrt(2.0),
-    num_rounds: Optional[int] = None,
-    *,
-    criterion: Optional[Criterion] = None,
-    seed: Optional[int] = None,
-) -> RunTrace:
+def run(grid: ThresholdGrid, samples, params: RewardParams, gamma: float = math.sqrt(2.0),
+        num_rounds: Optional[int] = None, *, criterion: Optional[Criterion] = None,
+        seed: Optional[int] = None) -> RunTrace:
     """Run the threshold-adaptation loop end to end over the stream.
 
     num_rounds defaults to the stream length (required when samples is an
@@ -429,13 +429,5 @@ def run(
             raise ValueError("num_rounds is required for unsized streams") from None
     elif hasattr(samples, "__len__") and num_rounds > len(samples):
         raise ValueError("num_rounds exceeds stream length")
-    return run_policy(
-        UcbPolicy(grid, gamma=gamma),
-        samples,
-        params,
-        criterion,
-        grid=grid,
-        label="ucb",
-        seed=seed,
-        num_rounds=num_rounds,
-    )
+    return run_policy(UcbPolicy(grid, gamma=gamma), samples, params, criterion, grid=grid,
+                      label="ucb", seed=seed, num_rounds=num_rounds)

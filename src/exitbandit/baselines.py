@@ -8,18 +8,13 @@ ground truth that regret computations use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional
 
 import numpy as np
 
-# run_policy stays in this namespace: the benchmark's traced run wraps
-# baselines.run_policy
-from .bandit import (  # noqa: F401
-    RewardParams, RunTrace, exit_reward, gather_trace, natural_criterion, run_policy,
-)
-from .env import SampleBlock, ThresholdGrid
+from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy
+from .env import ThresholdGrid
 from .exits import Criterion, exit_columns
 
 
@@ -39,6 +34,9 @@ class FixedPolicy:
     def observe(self, arm, reward_value) -> None:
         pass
 
+    def planned_arms(self, num_rounds: int) -> list:
+        return [self.tau] * num_rounds
+
 
 class RandomPolicy:
     """Plays a uniformly random grid arm every round (seeded)."""
@@ -56,6 +54,12 @@ class RandomPolicy:
     def observe(self, arm, reward_value) -> None:
         pass
 
+    def planned_arms(self, num_rounds: int) -> list:
+        """select's arms for num_rounds rounds, drawn in one batch: the same
+        draws, leaving the generator in the same state (pinned by a test)."""
+        values = self.grid.values
+        return [values[i] for i in self._rng.integers(self._k, size=num_rounds).tolist()]
+
 
 class FinalLayerPolicy:
     """Never exits early; the runner bypasses thresholding on a None arm."""
@@ -68,42 +72,23 @@ class FinalLayerPolicy:
     def observe(self, arm, reward_value) -> None:
         pass
 
+    def planned_arms(self, num_rounds: int) -> list:
+        return [None] * num_rounds
 
-def replay_arm(
-    tau: float,
-    samples,
-    params: RewardParams,
-    criterion: Optional[Criterion] = None,
-    *,
-    grid: Optional[ThresholdGrid] = None,
-    seed: Optional[int] = None,
-    num_rounds: Optional[int] = None,
-) -> RunTrace:
+
+def replay_arm(tau: float, samples, params: RewardParams, criterion: Optional[Criterion] = None,
+               *, grid: Optional[ThresholdGrid] = None, seed: Optional[int] = None,
+               num_rounds: Optional[int] = None) -> RunTrace:
     """Trace of playing one fixed arm over the whole stream (or its first
-    num_rounds rounds): the trace run_policy(FixedPolicy(tau), ...) records,
-    gathered from the stream's exit table."""
-    FixedPolicy(tau)  # the same check of tau
-    if grid is None:
-        grid = ThresholdGrid((tau,))
-    if criterion is None:
-        criterion = natural_criterion(params.variant)
-    if isinstance(samples, SampleBlock):
-        block = samples if num_rounds is None else samples.rows(0, num_rounds)
-    else:
-        block = SampleBlock.from_samples(itertools.islice(samples, num_rounds))
-    (layers, at_exit), = exit_columns(block, (tau,), criterion, params.num_layers)
-    return gather_trace(f"fixed{tau:g}", [tau] * len(block), layers, at_exit,
-                        exit_reward(at_exit, layers, params.layer_cost),
-                        (block.correct_prob, block.realized_correct, block.reliability_risk),
-                        grid=grid, reward_params=params, criterion=criterion, seed=seed)
+    num_rounds rounds): run_policy(FixedPolicy(tau), ...), labelled
+    fixed<tau>, on a grid of tau alone unless one is given."""
+    return run_policy(FixedPolicy(tau), samples, params, criterion,
+                      grid=ThresholdGrid((tau,)) if grid is None else grid,
+                      label=f"fixed{tau:g}", seed=seed, num_rounds=num_rounds)
 
 
-def oracle_best_arm(
-    grid: ThresholdGrid,
-    samples,
-    params: RewardParams,
-    criterion: Optional[Criterion] = None,
-) -> tuple[float, dict[float, float]]:
+def oracle_best_arm(grid: ThresholdGrid, samples, params: RewardParams,
+                    criterion: Optional[Criterion] = None) -> tuple[float, dict[float, float]]:
     """Exhaustively replay every arm; return (best arm, per-arm mean rewards).
 
     Mean reward ties break toward the smallest threshold. The means define

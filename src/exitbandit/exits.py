@@ -10,7 +10,7 @@ scores each layer once into a row of running maxima: a sample's row
 (prefix_max, final_score) answers any number of thresholds by bisection
 (scored_row, exit_at; block_rounds gives a block's rows), and the (T, L)
 table of a whole stream answers one threshold column at a time
-(exit_columns).
+(exit_columns) or a threshold per row (planned_exits).
 """
 
 from __future__ import annotations
@@ -161,21 +161,38 @@ def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
     samples is a SampleBlock or an iterable of samples (stacked into one).
     Yields (exit_layers, scores_at_exit), two length-T arrays, per threshold
     in order. The stream must have num_layers layers (default: its own).
-    Each layer is scored once, into the _exit_table of running maxima. A
-    row's exit is the number of running-max entries below the threshold; at
-    an early exit the running max is the exit score.
+    Each layer is scored once, into the _exit_table of running maxima.
     """
     samples = SampleBlock.from_samples(samples)
     if num_layers is not None and samples.num_layers != num_layers:
         raise ValueError("stream depth does not match num_layers")
 
     table = _exit_table(samples.confidence, samples.reliability_risk, criterion)
-    running_max = table[:, :-1]
-    rows = np.arange(len(samples))
     for threshold in thresholds:
         _check_threshold(threshold)
-        pos = np.count_nonzero(running_max < threshold, axis=1)
-        yield pos + 1, table[rows, pos]
+        yield _table_exits(table, threshold)
+
+
+def planned_exits(table, arms):
+    """exit_at over every row of an exit table: row t at arms[t], a
+    threshold or None (the final layer). Each distinct arm is checked as
+    exit_at checks it. Returns the exit layers and the scores at exit."""
+    for arm in dict.fromkeys(arms):
+        if arm is not None:
+            _check_threshold(arm)
+    thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN,
+    thresholds[np.isnan(thresholds)] = np.inf      # which exits at the final layer
+    return _table_exits(table, thresholds)
+
+
+def _table_exits(table, thresholds):
+    """Exit layers and scores at exit of the rows of a (T, L) exit table at
+    one threshold, or at thresholds[t] for row t. A row's exit is the number
+    of running-max entries below its threshold; at an early exit the running
+    max is the exit score, and an infinite threshold exits at the final
+    layer (every score of a valid sample lies in [0, 1])."""
+    pos = np.count_nonzero(table[:, :-1] < np.reshape(thresholds, (-1, 1)), axis=1)
+    return pos + 1, table[np.arange(len(table)), pos]
 
 
 def exit_distribution(

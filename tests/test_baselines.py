@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_stream, make_sample
 from exitbandit import (
@@ -83,6 +85,30 @@ class TestRandomPolicy:
     def test_single_arm_grid_is_constant(self):
         pol = RandomPolicy(ThresholdGrid((0.75,)), seed=1)
         assert {pol.select(t) for t in range(50)} == {0.75}
+
+    # planned_arms draws a run's arms in one batch; numpy does not promise
+    # that a batch equals the scalar draws, so this pins it
+    @given(k=st.integers(min_value=1, max_value=64), seed=st.integers(min_value=0),
+           before=st.integers(min_value=0, max_value=3),
+           rounds=st.integers(min_value=0, max_value=300))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_draw_equals_scalar_draws(self, k, seed, before, rounds):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (batched, scalar):
+            for _ in range(before):  # may leave half of a 64-bit output buffered
+                rng.integers(k)
+        assert batched.integers(k, size=rounds).tolist() == [
+            int(scalar.integers(k)) for _ in range(rounds)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @given(k=st.integers(min_value=1, max_value=64), seed=st.integers(min_value=0),
+           rounds=st.integers(min_value=0, max_value=300))
+    @settings(max_examples=100, deadline=None)
+    def test_planned_arms_equal_select(self, k, seed, rounds):
+        grid = ThresholdGrid(tuple((i + 1) / k for i in range(k)))
+        planned, played = RandomPolicy(grid, seed), RandomPolicy(grid, seed)
+        assert planned.planned_arms(rounds) == [played.select(t) for t in range(1, rounds + 1)]
+        assert planned._rng.bit_generator.state == played._rng.bit_generator.state
 
 
 class TestFinalLayerPolicy:

@@ -3,16 +3,20 @@
 decide (one sample, one threshold) is the reference. A sample's exit-table
 row (scored_row) answers many thresholds through exit_at, run_many plays
 several policies on it per round, and exit_columns (directly and via
-oracle_best_arm) answers a whole stream one threshold at a time. replay_arm
-gathers one exit_columns column and must record what the runner records for
-FixedPolicy. Samples are drawn so that scores often equal a threshold
-exactly, thresholds include 1.0, and policies repeat each other's arms or
-force the final layer (arm None).
+oracle_best_arm) answers a whole stream one threshold at a time. A policy
+that declares its arms (planned_arms) is answered from the stream's exit
+table after the loop and must record what the same policy records played
+round by round; replay_arm is run_policy(FixedPolicy(tau), ...). Samples are
+drawn so that scores often equal a threshold exactly, thresholds include
+1.0, and policies repeat each other's arms or force the final layer (arm
+None).
 """
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,14 +25,18 @@ from conftest import make_sample
 from exitbandit import (
     Criterion,
     ExitDecision,
+    FinalLayerPolicy,
     FixedPolicy,
     GeneratorParams,
+    RandomPolicy,
     RewardParams,
     RewardVariant,
     SampleOutcomes,
     ShiftSchedule,
     ThresholdGrid,
+    UcbPolicy,
     decide,
+    iter_samples,
     oracle_best_arm,
     replay_arm,
     reward,
@@ -36,6 +44,7 @@ from exitbandit import (
     run_policy,
     stream,
 )
+from exitbandit import bandit
 from exitbandit.env import SampleBlock
 from exitbandit.exits import exit_at, exit_columns, layer_score, scored_row
 
@@ -258,6 +267,144 @@ class TestReplayMatchesRunner:
                         a, b = getattr(got, name), getattr(want, name)
                         assert a.dtype == b.dtype
                         assert a.tobytes() == b.tobytes(), name
+
+
+def per_round(policy_class):
+    """The policy class with its declaration hidden, so run_many plays it
+    round by round through select and observe."""
+    return type(f"PerRound{policy_class.__name__}", (policy_class,), {"planned_arms": None})
+
+
+def unplayable(policy_class):
+    """The policy class with select and observe that fail if called."""
+    def fail(self, *args):
+        raise AssertionError(f"{policy_class.__name__} was played round by round")
+    return type(f"Unplayable{policy_class.__name__}", (policy_class,),
+                {"select": fail, "observe": fail})
+
+
+# the built-in open-loop policies, as (class, constructor arguments)
+OPEN_LOOP = ((FixedPolicy, (0.6,)), (FixedPolicy, (1.0,)), (FinalLayerPolicy, ()),
+             (RandomPolicy, (GRID, 11)))
+
+
+def policy_state(policy):
+    """A policy's attributes, with a generator read as its bit-generator state."""
+    return {name: value.bit_generator.state if name == "_rng" else value
+            for name, value in vars(policy).items()}
+
+
+def assert_traces_equal(got, want):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
+        else:
+            assert a == b, field.name
+
+
+def run_both(make_policies, source, *args, **kwargs):
+    """run_many over the declared policies and over their per-round twins;
+    both runs' traces and policies."""
+    declared, hidden = make_policies(lambda cls: cls), make_policies(per_round)
+    return (run_many(declared, source(), *args, **kwargs), declared,
+            run_many(hidden, source(), *args, **kwargs), hidden)
+
+
+class TestDeclaredArms:
+    """Open-loop policies declare their arms with planned_arms and are answered
+    from the exit table after the loop; the same policy with its declaration
+    hidden plays round by round and is the reference."""
+
+    @given(data=st.data(), criterion=st.sampled_from((*Criterion, None)), variant=VARIANTS,
+           lam=LAMBDAS)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_per_round_play(self, data, criterion, variant, lam):
+        num_layers = data.draw(st.integers(min_value=2, max_value=6))
+        samples = data.draw(samples_of_depth(num_layers, max_size=30))
+        num_rounds = data.draw(st.none() | st.integers(min_value=1, max_value=len(samples) + 2))
+        with_ucb = data.draw(st.booleans())
+        params = RewardParams(lam=lam, num_layers=num_layers, variant=variant)
+        block = SampleBlock.from_samples(samples)
+
+        def make_policies(wrap):
+            ucb = [UcbPolicy(GRID)] if with_ucb else []
+            return ucb + [wrap(cls)(*args) for cls, args in OPEN_LOOP]
+
+        for source in (lambda: samples, lambda: block, lambda: iter(samples)):
+            got, declared, want, hidden = run_both(
+                make_policies, source, params, criterion, grid=GRID, seed=3,
+                num_rounds=num_rounds)
+            for a, b in zip(got, want):
+                assert_traces_equal(a, b)
+            for a, b in zip(declared, hidden):
+                assert policy_state(a) == policy_state(b)
+
+    def test_equal_to_per_round_play_across_a_shift(self):
+        params = GeneratorParams(num_layers=6, seed=2)
+        schedule = ShiftSchedule(((1, params),
+                                  (301, dataclasses.replace(params, confidence_noise=0.4))))
+        reward_params = RewardParams(lam=0.01 / 6, num_layers=6)
+
+        def make_policies(wrap):
+            return [UcbPolicy(GRID)] + [wrap(cls)(*args) for cls, args in OPEN_LOOP]
+
+        block = SampleBlock.from_samples(stream(schedule, 600, seed=5))
+        for source in (lambda: block, lambda: iter_samples(schedule, 600, seed=5)):
+            got, declared, want, hidden = run_both(make_policies, source, reward_params,
+                                                   grid=GRID, num_rounds=450)
+            assert [len(t) for t in got] == [450] * len(got)
+            for a, b in zip(got, want):
+                assert_traces_equal(a, b)
+            for a, b in zip(declared, hidden):
+                assert policy_state(a) == policy_state(b)
+
+    def test_declared_policies_are_not_played_and_the_rest_stay_in_lockstep(self):
+        samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1)), 8,
+                         seed=0)
+        log = []
+
+        def endless():
+            for t, sample in enumerate(itertools.cycle(samples), start=1):
+                log.append(("pull", None, t))
+                yield sample
+
+        logged = [LoggedPolicy(0.5, log), LoggedPolicy(None, log)]
+        declared = [unplayable(cls)(*args) for cls, args in OPEN_LOOP]
+        params = RewardParams(lam=0.01, num_layers=4)
+        traces = run_many([logged[0], *declared, logged[1]], endless(), params, grid=GRID,
+                          num_rounds=20)
+        expected = []
+        for t in range(1, 21):
+            expected.append(("pull", None, t))
+            for policy in logged:
+                expected += [("select", policy, t), ("observe", policy, t)]
+        assert log == expected
+        want = run_many([per_round(cls)(*args) for cls, args in OPEN_LOOP],
+                        itertools.islice(itertools.cycle(samples), 20), params, grid=GRID)
+        for a, b in zip(traces[1:-1], want):
+            assert_traces_equal(a, b)
+
+    @pytest.mark.parametrize("arms, match", [
+        ([0.5] * 3, "planned_arms gave 3 arms for 4 rounds"),
+        ([0.5, None, 1.2, 0.5], "threshold"),
+        ([0.5, 0.0, None, 0.5], "threshold"),
+        ([0.5, 0.5, 0.5, math.nan], "threshold"),
+    ])
+    def test_declared_arms_checked_before_any_trace_is_built(self, arms, match, monkeypatch):
+        class Declares:
+            def planned_arms(self, num_rounds):
+                return arms
+
+        def build_no_trace(*args, **kwargs):
+            raise AssertionError("a trace was built")
+
+        monkeypatch.setattr(bandit, "gather_trace", build_no_trace)
+        samples = [make_sample([0.4, 0.7, 0.9])] * 4
+        params = RewardParams(lam=0.0, num_layers=3)
+        for source in (samples, SampleBlock.from_samples(samples), iter(samples)):
+            with pytest.raises(ValueError, match=match):
+                run_many([UcbPolicy(GRID), Declares()], source, params, grid=GRID)
 
 
 class TestExitColumns:
