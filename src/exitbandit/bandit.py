@@ -29,7 +29,7 @@ from .env import SampleBlock, ThresholdGrid
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
 from .exits import (  # noqa: F401
-    Criterion, ExitDecision, _exit_table, block_rounds, decide, exit_at, planned_exits, scored_row,
+    Criterion, ExitDecision, decide, exit_at, exit_table, planned_exits, scored_row, table_rows,
 )
 
 
@@ -266,9 +266,9 @@ def run_many(policies, samples, reward_params: RewardParams,
 
     samples is a SampleBlock or any iterable of samples. Every policy sees
     the identical samples (common random numbers), so cross-policy
-    comparisons are paired. Each round's layers are scored once into an
-    exit-table row, however many policies play (see exits.exit_at). An
-    iterable is read one sample per round, after every undeclared policy has
+    comparisons are paired. Each layer is scored once, however many policies
+    play: a SampleBlock into one exit table before the loop (exits.exit_table),
+    an iterable into a row per sample, read after every undeclared policy has
     played the round before. Returns one RunTrace per policy, in input order.
     """
     if criterion is None:
@@ -290,10 +290,9 @@ def run_many(policies, samples, reward_params: RewardParams,
         if samples.num_layers != num_layers:
             raise ValueError("stream depth does not match reward_params.num_layers")
         block = samples if num_rounds is None else samples.rows(0, num_rounds)
-        t = _play(tracks, block_rounds(block, criterion), layer_cost) if tracks else len(block)
+        table = exit_table(block, criterion)
+        t = _play(tracks, table_rows(table), layer_cost) if tracks else len(block)
         columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
-        table = (_exit_table(block.confidence, block.reliability_risk, criterion)
-                 if any(declared) else None)
     else:
         # per round: the sample's correct_prob, realized_correct and
         # reliability_risk, and its exit-table row if a policy is declared

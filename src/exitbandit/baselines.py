@@ -15,7 +15,7 @@ import numpy as np
 
 from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy
 from .env import ThresholdGrid
-from .exits import Criterion, exit_columns
+from .exits import Criterion, exit_table, table_exits
 
 
 class FixedPolicy:
@@ -98,9 +98,10 @@ def oracle_best_arm(grid: ThresholdGrid, samples, params: RewardParams,
     """
     if criterion is None:
         criterion = natural_criterion(params.variant)
-    columns = exit_columns(samples, grid.values, criterion, params.num_layers)
+    table = exit_table(samples, criterion, params.num_layers)
     means: dict[float, float] = {}
-    for tau, (layers, at_exit) in zip(grid.values, columns):
+    for tau in grid.values:
+        layers, at_exit = table_exits(table, tau)
         rewards = exit_reward(at_exit, layers, params.layer_cost)
         means[tau] = math.fsum(rewards.tolist()) / len(rewards)
     best = grid.values[0]

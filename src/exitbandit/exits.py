@@ -6,18 +6,16 @@ qualifies when the model is both confident and believed reliable.
 
 The rule comes in two forms that give the same answers. decide (one sample,
 one threshold) is the deployed loop's call and the reference. The other form
-scores each layer once into a row of running maxima: a sample's row
-(prefix_max, final_score) answers any number of thresholds by bisection
-(scored_row, exit_at; block_rounds gives a block's rows), and the (T, L)
-table of a whole stream answers one threshold column at a time
-(exit_columns) or a threshold per row (planned_exits).
+scores each layer once into running maxima: a sample's row (scored_row)
+answers any threshold by bisection (exit_at), and a stream's (T, L)
+exit_table is read row by row (table_rows) or counted at one threshold or
+one per row (table_exits, which planned_exits feeds checked arms).
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,47 +128,30 @@ def exit_at(prefix_max, final_score, threshold) -> tuple[int, float]:
     return len(prefix_max) + 1, final_score
 
 
-# rows of a SampleBlock scored and converted to Python floats per step of block_rounds
+# rows of an exit table converted to Python floats per step of table_rows
 _ROW_CHUNK = 256
 
 
-def _exit_table(confidence, reliability_risk, criterion: Criterion) -> np.ndarray:
-    """(T, L) table whose row t holds the running max of sample t's scores
-    over layers 1..L-1, then its final-layer score."""
+def exit_table(samples, criterion: Criterion = Criterion.PRODUCT, num_layers=None):
+    """(T, L) exit table of a SampleBlock or an iterable of samples: row t
+    holds the running max of sample t's scores over layers 1..L-1, then its
+    final-layer score. The stream must have num_layers layers (if given)."""
+    block = SampleBlock.from_samples(samples)
+    if num_layers is not None and block.num_layers != num_layers:
+        raise ValueError("stream depth does not match num_layers")
     # a copy: the confidence criterion's score is the confidence array itself
-    table = np.array(_scorer(criterion)(confidence, reliability_risk))
+    table = np.array(_scorer(criterion)(block.confidence, block.reliability_risk))
     running_max = table[:, :-1]
     np.maximum.accumulate(running_max, axis=1, out=running_max)
     return table
 
 
-def block_rounds(block: SampleBlock, criterion: Criterion):
-    """The block's exit-table rows as scored_row gives them, one per round.
-    Rows are scored in numpy and converted a chunk at a time, lazily."""
-    def chunk(lo):
-        table = _exit_table(block.confidence[lo:lo + _ROW_CHUNK],
-                            block.reliability_risk[lo:lo + _ROW_CHUNK], criterion)
-        return zip(table[:, :-1].tolist(), table[:, -1].tolist())
-    return itertools.chain.from_iterable(map(chunk, range(0, len(block), _ROW_CHUNK)))
-
-
-def exit_columns(samples, thresholds, criterion: Criterion = Criterion.PRODUCT,
-                 num_layers=None):
-    """Batch form of decide over a whole stream, one threshold at a time.
-
-    samples is a SampleBlock or an iterable of samples (stacked into one).
-    Yields (exit_layers, scores_at_exit), two length-T arrays, per threshold
-    in order. The stream must have num_layers layers (default: its own).
-    Each layer is scored once, into the _exit_table of running maxima.
-    """
-    samples = SampleBlock.from_samples(samples)
-    if num_layers is not None and samples.num_layers != num_layers:
-        raise ValueError("stream depth does not match num_layers")
-
-    table = _exit_table(samples.confidence, samples.reliability_risk, criterion)
-    for threshold in thresholds:
-        _check_threshold(threshold)
-        yield _table_exits(table, threshold)
+def table_rows(table):
+    """The exit table's rows as scored_row gives them, one per round,
+    converted to Python floats a chunk at a time, lazily."""
+    for lo in range(0, len(table), _ROW_CHUNK):
+        rows = table[lo:lo + _ROW_CHUNK]
+        yield from zip(rows[:, :-1].tolist(), rows[:, -1].tolist())
 
 
 def planned_exits(table, arms):
@@ -182,15 +163,14 @@ def planned_exits(table, arms):
             _check_threshold(arm)
     thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN,
     thresholds[np.isnan(thresholds)] = np.inf      # which exits at the final layer
-    return _table_exits(table, thresholds)
+    return table_exits(table, thresholds)
 
 
-def _table_exits(table, thresholds):
-    """Exit layers and scores at exit of the rows of a (T, L) exit table at
-    one threshold, or at thresholds[t] for row t. A row's exit is the number
-    of running-max entries below its threshold; at an early exit the running
-    max is the exit score, and an infinite threshold exits at the final
-    layer (every score of a valid sample lies in [0, 1])."""
+def table_exits(table, thresholds):
+    """Exit layers and scores at exit of an exit table's rows at one threshold,
+    or at thresholds[t] for row t (the caller checks them). A row exits at the
+    first layer whose running max is not below its threshold, scoring that max;
+    an infinite threshold exits at the final layer (every score is <= 1)."""
     pos = np.count_nonzero(table[:, :-1] < np.reshape(thresholds, (-1, 1)), axis=1)
     return pos + 1, table[np.arange(len(table)), pos]
 
@@ -207,7 +187,7 @@ def exit_distribution(
         samples = list(samples)
         if not samples:
             raise ValueError("no samples given")
-        samples = SampleBlock.from_samples(samples)
-    (layers, _), = exit_columns(samples, (threshold,), criterion)
-    counts = np.bincount(layers, minlength=samples.num_layers + 1)[1:]
-    return counts / layers.size
+    _check_threshold(threshold)
+    table = exit_table(samples, criterion)
+    layers, _ = table_exits(table, threshold)
+    return np.bincount(layers, minlength=table.shape[1] + 1)[1:] / len(layers)

@@ -1,15 +1,17 @@
 """The exit rule's two forms agree with decide, and every reward with reward().
 
 decide (one sample, one threshold) is the reference. A sample's exit-table
-row (scored_row) answers many thresholds through exit_at, run_many plays
-several policies on it per round, and exit_columns (directly and via
-oracle_best_arm) answers a whole stream one threshold at a time. A policy
-that declares its arms (planned_arms) is answered from the stream's exit
-table after the loop and must record what the same policy records played
-round by round; replay_arm is run_policy(FixedPolicy(tau), ...). Samples are
-drawn so that scores often equal a threshold exactly, thresholds include
-1.0, and policies repeat each other's arms or force the final layer (arm
-None).
+row (scored_row) answers many thresholds through exit_at, and run_many plays
+several policies on it per round. A whole stream is scored once into its
+exit table (exit_table): its row view (table_rows) gives the rows scored_row
+gives, and the one counting function (table_exits) answers a threshold for
+every row, as oracle_best_arm, exit_distribution and planned_exits use it. A
+policy that declares its arms (planned_arms) is answered from the stream's
+exit table after the loop and must record what the same policy records
+played round by round; replay_arm is run_policy(FixedPolicy(tau), ...).
+Samples are drawn so that scores often equal a threshold exactly,
+thresholds include 1.0, and policies repeat each other's arms or force the
+final layer (arm None).
 """
 
 import dataclasses
@@ -36,17 +38,20 @@ from exitbandit import (
     ThresholdGrid,
     UcbPolicy,
     decide,
+    exit_distribution,
     iter_samples,
     oracle_best_arm,
     replay_arm,
     reward,
     run_many,
-    run_policy,
     stream,
 )
 from exitbandit import bandit
+from exitbandit.bandit import natural_criterion
 from exitbandit.env import SampleBlock
-from exitbandit.exits import exit_at, exit_columns, layer_score, scored_row
+from exitbandit.exits import (
+    exit_at, exit_table, layer_score, planned_exits, scored_row, table_exits, table_rows,
+)
 
 THRESHOLDS = (0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
 GRID = ThresholdGrid(THRESHOLDS)
@@ -239,36 +244,6 @@ class TestOracleMatchesReplay:
             oracle_best_arm(GRID, [], RewardParams(lam=0.0, num_layers=4))
 
 
-TRACE_ARRAYS = ("exit_layers", "scores", "rewards", "correct_probs", "realized",
-                "reliabilities")
-
-
-class TestReplayMatchesRunner:
-    # replay_arm gathers from exit_columns, as the oracle does, so the runner
-    # playing FixedPolicy(tau) is its independent reference
-    @given(data=st.data(), lam=LAMBDAS)
-    @settings(max_examples=40, deadline=None)
-    def test_replay_arm_equals_fixed_policy_run(self, data, lam):
-        num_layers = data.draw(st.integers(min_value=2, max_value=6))
-        samples = data.draw(samples_of_depth(num_layers, max_size=30))
-        num_rounds = data.draw(st.none() | st.integers(min_value=1, max_value=len(samples) + 2))
-        block = SampleBlock.from_samples(samples)
-        for criterion, variant in itertools.product((*Criterion, None), RewardVariant):
-            params = RewardParams(lam=lam, num_layers=num_layers, variant=variant)
-            for tau in THRESHOLDS:
-                want = run_policy(FixedPolicy(tau), samples, params, criterion, grid=GRID,
-                                  label=f"fixed{tau:g}", seed=1, num_rounds=num_rounds)
-                for source in (samples, block):
-                    got = replay_arm(tau, source, params, criterion, grid=GRID, seed=1,
-                                     num_rounds=num_rounds)
-                    assert (got.policy, got.arms) == (want.policy, want.arms)
-                    assert (got.criterion, got.grid, got.seed) == (want.criterion, want.grid, 1)
-                    for name in TRACE_ARRAYS:
-                        a, b = getattr(got, name), getattr(want, name)
-                        assert a.dtype == b.dtype
-                        assert a.tobytes() == b.tobytes(), name
-
-
 def per_round(policy_class):
     """The policy class with its declaration hidden, so run_many plays it
     round by round through select and observe."""
@@ -331,6 +306,8 @@ class TestDeclaredArms:
             ucb = [UcbPolicy(GRID)] if with_ucb else []
             return ucb + [wrap(cls)(*args) for cls, args in OPEN_LOOP]
 
+        rounds = len(samples) if num_rounds is None else min(num_rounds, len(samples))
+        names = ["ucb"] * with_ucb + ["fixed", "fixed", "final", "random"]
         for source in (lambda: samples, lambda: block, lambda: iter(samples)):
             got, declared, want, hidden = run_both(
                 make_policies, source, params, criterion, grid=GRID, seed=3,
@@ -339,6 +316,17 @@ class TestDeclaredArms:
                 assert_traces_equal(a, b)
             for a, b in zip(declared, hidden):
                 assert policy_state(a) == policy_state(b)
+            assert [trace.policy for trace in got] == names
+            for trace in got:
+                assert (len(trace), trace.grid, trace.seed) == (rounds, GRID, 3)
+                assert trace.criterion == (criterion or natural_criterion(variant))
+            # replay_arm is the declared FixedPolicy run, labelled by its arm
+            for trace, (cls, args) in zip(got[with_ucb:], OPEN_LOOP):
+                if cls is FixedPolicy:
+                    replayed = replay_arm(*args, source(), params, criterion, grid=GRID,
+                                          seed=3, num_rounds=num_rounds)
+                    assert_traces_equal(replayed,
+                                        dataclasses.replace(trace, policy=f"fixed{args[0]:g}"))
 
     def test_equal_to_per_round_play_across_a_shift(self):
         params = GeneratorParams(num_layers=6, seed=2)
@@ -408,30 +396,72 @@ class TestDeclaredArms:
 
 
 class TestExitColumns:
+    """table_exits at one threshold, as oracle_best_arm and exit_distribution
+    call it, against decide."""
+
     @given(data=st.data(), criterion=CRITERIA)
     @settings(max_examples=60, deadline=None)
     def test_columns_match_decide(self, data, criterion):
         num_layers = data.draw(st.integers(min_value=2, max_value=6))
         samples = data.draw(samples_of_depth(num_layers, max_size=30))
-        for tau, (layers, at_exit) in zip(THRESHOLDS, exit_columns(samples, THRESHOLDS, criterion)):
+        table = exit_table(samples, criterion)
+        for tau in THRESHOLDS:
+            layers, at_exit = table_exits(table, tau)
             decisions = [decide(s, tau, criterion) for s in samples]
             assert layers.tolist() == [d.exit_layer for d in decisions]
             assert at_exit.tolist() == [d.score_at_exit for d in decisions]
 
     def test_columns_match_decide_on_a_generated_stream(self):
-        # 600 rows span several scoring blocks
+        # 600 generated rows (more than two row chunks); the oracle's means come from
+        # the same counts
         samples = stream(ShiftSchedule.constant(GeneratorParams(seed=5)), 600, seed=1)
+        params = RewardParams(lam=0.01 / 12, num_layers=12)
         for criterion in Criterion:
-            for tau, (layers, at_exit) in zip(THRESHOLDS,
-                                              exit_columns(samples, THRESHOLDS, criterion)):
+            table = exit_table(samples, criterion)
+            _, means = oracle_best_arm(GRID, samples, params, criterion)
+            for tau in THRESHOLDS:
+                layers, at_exit = table_exits(table, tau)
                 decisions = [decide(s, tau, criterion) for s in samples]
                 assert layers.tolist() == [d.exit_layer for d in decisions]
                 assert at_exit.tolist() == [d.score_at_exit for d in decisions]
+                by_decide = [reward(d, params) for d in decisions]
+                assert means[tau] == math.fsum(by_decide) / len(samples)
 
     def test_threshold_validated(self):
         samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=3)), 4, seed=0)
-        with pytest.raises(ValueError, match="threshold"):
-            list(exit_columns(samples, (0.5, 0.0)))
+        table = exit_table(samples)
+        for bad in (0.0, -0.2, 1.5, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                planned_exits(table, [0.5, bad, None, 0.5])
+            with pytest.raises(ValueError, match="threshold"):
+                exit_distribution(samples, bad)
+
+
+class TestExitTable:
+    @pytest.mark.parametrize("rounds", (1, 255, 256, 257, 511, 513))
+    def test_rows_equal_scored_row_across_row_chunks(self, rounds):
+        samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=5, seed=6)),
+                         rounds, seed=rounds)
+        for criterion in Criterion:
+            rows = list(table_rows(exit_table(samples, criterion)))
+            assert rows == [scored_row(s.confidence, s.reliability_risk, criterion)
+                            for s in samples]
+            assert all(type(v) is float for row in rows for v in (*row[0], row[1]))
+
+    def test_run_many_scores_a_block_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return exit_table(*args, **kwargs)
+
+        monkeypatch.setattr(bandit, "exit_table", counted)
+        block = SampleBlock.from_samples(
+            stream(ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1)), 600, seed=0))
+        policies = [UcbPolicy(GRID)] + [cls(*args) for cls, args in OPEN_LOOP]
+        traces = run_many(policies, block, RewardParams(lam=0.01, num_layers=4), grid=GRID)
+        assert len(calls) == 1
+        assert [len(trace) for trace in traces] == [600] * len(policies)
 
 
 def test_generated_outcomes_hold_plain_floats():
