@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import SampleBlock, ThresholdGrid
+from .env import SampleBlock, ThresholdGrid, require_integer
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
 from .exits import (  # noqa: F401
@@ -277,6 +277,10 @@ def run_many(policies, samples, reward_params: RewardParams,
         raise ValueError("no policies given")
     if labels is not None and len(labels) != len(policies):
         raise ValueError("labels and policies differ in length")
+    if num_rounds is not None:
+        require_integer("num_rounds", num_rounds)
+        if num_rounds < 0:
+            raise ValueError(f"num_rounds must be >= 0, got {num_rounds}")
     grids = [grid if grid is not None else getattr(p, "grid", None) for p in policies]
     if any(g is None for g in grids):
         raise ValueError("pass grid= for policies that do not carry one")

@@ -11,7 +11,8 @@ Per-seed outputs:
     summary_{policy}_{seed}.json  flat RunSummary
     aggregate_{policy}.json       mean/std across seeds
 
-Trace CSV header (floats printed with 9 significant digits):
+Trace CSV header, then one TRACE_ROW line per round (floats printed with
+9 significant digits, the arm as metrics.arm_key prints it):
     round,arm,exit_layer,score,reward,correct_prob,correct,cum_regret
 """
 
@@ -59,14 +60,15 @@ from .env import (
     ThresholdGrid,
 )
 from .exits import Criterion
-from .metrics import RunSummary, attach_regret, empirical_risk, summarize
+from .metrics import (FINAL_ARM_TOKEN, RunSummary, arm_key, attach_regret, empirical_risk,
+                      summarize)
 # stream is kept in this namespace only for the benchmark's traced run, which
 # wraps harness.stream
 from .simulator import sample_block, stream  # noqa: F401
 
 TRACE_HEADER = ("round", "arm", "exit_layer", "score", "reward",
                 "correct_prob", "correct", "cum_regret")
-FINAL_ARM_TOKEN = "final"
+TRACE_ROW = "%d,%s,%d,%.9g,%.9g,%.9g,%d,%.9g\r\n"
 DEFAULT_EPSILON = 0.01
 
 
@@ -137,20 +139,24 @@ def _parse_grid(payload, where: str) -> ThresholdGrid:
         values = payload["values"]
         if not isinstance(values, list):
             raise ConfigError(f"{where}.values must be a list")
-        try:
-            return ThresholdGrid(tuple(_number(v, f"{where}.values") for v in values))
-        except ValueError as e:
-            raise ConfigError(f"invalid {where}: {e}") from e
-    _strict(payload, ("size", "low", "high"), where)
-    size = _integer(payload.get("size", DEFAULT_GRID_SIZE), f"{where}.size")
-    low = _number(payload.get("low", DEFAULT_GRID_LOW), f"{where}.low")
-    high = _number(payload.get("high", DEFAULT_GRID_HIGH), f"{where}.high")
-    if size < 1:
-        raise ConfigError(f"{where}.size must be >= 1")
+        values = tuple(_number(v, f"{where}.values") for v in values)
+    else:
+        _strict(payload, ("size", "low", "high"), where)
+        size = _integer(payload.get("size", DEFAULT_GRID_SIZE), f"{where}.size")
+        low = _number(payload.get("low", DEFAULT_GRID_LOW), f"{where}.low")
+        high = _number(payload.get("high", DEFAULT_GRID_HIGH), f"{where}.high")
+        if size < 1:
+            raise ConfigError(f"{where}.size must be >= 1")
+        values = tuple(float(v) for v in np.linspace(low, high, size))
     try:
-        return ThresholdGrid(tuple(float(v) for v in np.linspace(low, high, size)))
+        grid = ThresholdGrid(values)
     except ValueError as e:
         raise ConfigError(f"invalid {where}: {e}") from e
+    # the values increase, so two arms that print alike are neighbours
+    for a, b in zip(values, values[1:]):
+        if arm_key(a) == arm_key(b):
+            raise ConfigError(f"{where}: arms {a!r} and {b!r} both print as {arm_key(a)!r}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -434,10 +440,6 @@ def run_single(config: ExperimentConfig, seed: int) -> SeedResult:
     return SeedResult(trace=trace, summary=summary, best_arm=best, per_arm_means=means)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 @contextlib.contextmanager
 def _replacing(path: Path):
     """Text handle on a temp file beside path that replaces path on success.
@@ -456,6 +458,13 @@ def _replacing(path: Path):
         raise
 
 
+def _write_csv(path: Path, header: Sequence[str], row: str, rows) -> None:
+    """The header line, then row % values for each tuple of rows."""
+    with _replacing(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % values for values in rows)
+
+
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Emit the per-round trace; requires an attached regret curve."""
     if trace.cum_regret is None:
@@ -464,22 +473,11 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     layers, scores, rewards, cps, realized, cum_regret = (
         column.tolist() for column in (trace.exit_layers, trace.scores, trace.rewards,
                                        trace.correct_probs, trace.realized, trace.cum_regret))
-    with _replacing(Path(path)) as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        # indexed by position, so a column shorter than the trace fails (IndexError)
-        for i in range(len(trace)):
-            arm = arms[i]
-            w.writerow((
-                i + 1,
-                FINAL_ARM_TOKEN if arm is None else _fmt(arm),
-                layers[i],
-                _fmt(scores[i]),
-                _fmt(rewards[i]),
-                _fmt(cps[i]),
-                1 if realized[i] else 0,
-                _fmt(cum_regret[i]),
-            ))
+    # indexed by position, so a column shorter than the trace fails (IndexError)
+    _write_csv(Path(path), TRACE_HEADER, TRACE_ROW, (
+        (i + 1, arm_key(arms[i]), layers[i], scores[i], rewards[i], cps[i], realized[i],
+         cum_regret[i])
+        for i in range(len(trace))))
 
 
 @dataclass
@@ -519,11 +517,15 @@ def read_trace_csv(path) -> TraceTable:
                 if len(row) != len(TRACE_HEADER):
                     raise ValueError(f"{len(row)} fields, expected {len(TRACE_HEADER)}")
                 arm = None if row[1] == FINAL_ARM_TOKEN else float(row[1])
+                layer = int(row[2])
                 score, r, cp = float(row[3]), float(row[4]), float(row[5])
                 regret = float(row[7])
-                if not (isfinite(score) and isfinite(r) and isfinite(cp)
-                        and isfinite(regret) and (arm is None or isfinite(arm))):
+                if not (isfinite(score) and isfinite(r) and isfinite(cp) and isfinite(regret)):
                     raise ValueError("fields must be finite numbers")
+                if arm is not None and not 0.0 < arm <= 1.0:
+                    raise ValueError(f"arm must be in (0, 1], got {row[1]!r}")
+                if layer < 1:
+                    raise ValueError(f"exit_layer must be >= 1, got {layer}")
                 if row[6] not in ("0", "1"):
                     raise ValueError(f"correct must be 0 or 1, got {row[6]!r}")
                 t = int(row[0])
@@ -531,7 +533,7 @@ def read_trace_csv(path) -> TraceTable:
                     raise ValueError(f"round {t} out of order, expected {len(rounds) + 1}")
                 rounds.append(t)
                 arms.append(arm)
-                layers.append(int(row[2]))
+                layers.append(layer)
                 scores.append(score)
                 rewards.append(r)
                 cps.append(cp)
@@ -614,6 +616,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
 
 SWEEP_AXES = ("lambda", "epsilon", "tau", "variant")
 SWEEP_HEADER = ("axis", "value", "empirical_risk", "speedup", "cumulative_regret")
+SWEEP_ROW = "%s,%s,%.9g,%.9g,%.9g\r\n"
 
 
 def sweep(config: ExperimentConfig, axis: str, values: Sequence, out_path=None) -> Path:
@@ -636,24 +639,14 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence, out_path=None) 
                else {axis: v})
         for v in values
     ]
-    rows = []
-    for value, derived in zip(values, derived_configs):
-        summaries = [run_single(derived, seed).summary for seed in derived.seeds]
-        agg = aggregate_summaries(summaries)
-        rows.append((
-            axis,
-            str(value),
-            _fmt(agg["mean"]["empirical_risk"]),
-            _fmt(agg["mean"]["speedup"]),
-            _fmt(agg["mean"]["cumulative_regret"]),
-        ))
+    means = [aggregate_summaries([run_single(d, seed).summary for seed in d.seeds])["mean"]
+             for d in derived_configs]
     path = Path(out_path) if out_path is not None \
         else Path(config.out_dir) / f"sweep_{axis}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with _replacing(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(SWEEP_HEADER)
-        w.writerows(rows)
+    _write_csv(path, SWEEP_HEADER, SWEEP_ROW,
+               [(axis, value, m["empirical_risk"], m["speedup"], m["cumulative_regret"])
+                for value, m in zip(values, means)])
     return path
 
 
@@ -703,11 +696,8 @@ def analyze(trace_paths: Sequence, out_dir) -> list[Path]:
         tables = by_policy[policy]
         mean_curve = np.mean(np.stack([t.cum_regret for t in tables]), axis=0)
         path = out / f"regret_{policy}.csv"
-        with _replacing(path) as fh:
-            w = csv.writer(fh)
-            w.writerow(("round", "cum_regret"))
-            for i, v in enumerate(mean_curve, start=1):
-                w.writerow((i, _fmt(v)))
+        _write_csv(path, ("round", "cum_regret"), "%d,%.9g\r\n",
+                   enumerate(mean_curve.tolist(), start=1))
         written.append(path)
     return written
 

@@ -193,8 +193,12 @@ class RunSummary:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _arm_key(arm: Optional[float]) -> str:
-    return "final" if arm is None else format(arm, ".9g")
+FINAL_ARM_TOKEN = "final"
+
+
+def arm_key(arm: Optional[float]) -> str:
+    """An arm's printed text: its threshold to 9 significant digits, or "final"."""
+    return FINAL_ARM_TOKEN if arm is None else format(arm, ".9g")
 
 
 def summarize(
@@ -221,7 +225,7 @@ def summarize(
     holds, report = risk_bound_check(
         risk, epsilon_star, bound, len(trace), params.lam, params.num_layers,
     )
-    pulls = Counter(_arm_key(a) for a in trace.arms)
+    pulls = Counter(arm_key(a) for a in trace.arms)
     return RunSummary(
         policy=trace.policy,
         seed=trace.seed,

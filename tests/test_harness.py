@@ -6,6 +6,7 @@ import math
 import re
 import shutil
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ class TestParseConfigValidation:
             parse_config(minimal(grid={"values": [0.8, 0.5]}))
         with pytest.raises(ConfigError, match="size"):
             parse_config(minimal(grid={"size": 0}))
+
+    @pytest.mark.parametrize("grid, pair", [
+        ({"values": [0.5, 0.5000000001, 0.9]}, "0.5 and 0.5000000001"),
+        ({"size": 3, "low": 0.5, "high": 0.5000000001}, "0.5 and 0.50000000005"),
+    ], ids=["values", "size"])
+    def test_grid_arms_must_print_apart(self, grid, pair):
+        # two arms that print alike would share one trace and summary key
+        with pytest.raises(ConfigError, match=re.escape(f"grid: arms {pair} both print as '0.5'")):
+            parse_config(minimal(grid=grid))
 
     def test_scalar_domains(self):
         for key, bad in [
@@ -435,11 +445,54 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: round 2 out of order")):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,7.5,3,0.8,0.79,0.9,1,0"], "line 2: arm must be in (0, 1], got '7.5'"),
+        (["1,0,3,0.8,0.79,0.9,1,0"], "line 2: arm must be in (0, 1], got '0'"),
+        (["1,nan,3,0.8,0.79,0.9,1,0"], "line 2: arm must be in (0, 1], got 'nan'"),
+        (["1,0.5,3,0.8,0.79,0.9,1,0", "2,final,-3,0.8,0.79,0.9,1,0"],
+         "line 3: exit_layer must be >= 1, got -3"),
+        (["1,final,0,0.8,0.79,0.9,1,0"], "line 2: exit_layer must be >= 1, got 0"),
+    ], ids=["arm-above-1", "arm-0", "arm-nan", "layer-negative", "layer-0"])
+    def test_read_rejects_arm_or_layer_out_of_range(self, tmp_path, rows, message):
+        path = tmp_path / "trace_ucb_0.csv"
+        path.write_text("\n".join([",".join(TRACE_HEADER), *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_trace_csv(path)
+
     def test_read_rejects_empty_trace(self, tmp_path):
         path = tmp_path / "trace_ucb_0.csv"
         path.write_text(",".join(TRACE_HEADER) + "\n")
         with pytest.raises(ValueError, match="no rounds"):
             read_trace_csv(path)
+
+
+@given(x=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 0.1234567895, 1234567895.0,
+                     0.5000000005, 1.0000000005e-300]),
+))
+@settings(max_examples=500, deadline=None)
+def test_row_templates_print_floats_as_format_9g(x):
+    # the CSV row templates rest on this: %.9g is format(x, ".9g"), ties included
+    assert "%.9g" % x == format(x, ".9g")
+
+
+def test_row_templates_print_bools_as_digits():
+    assert ("%d" % True, "%d" % False) == ("1", "0")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"values": [0.1 + 0.2, 1 / 3, 0.9]}},
+    {"policy": "final"},
+], ids=["unround-grid", "final"])
+def test_summary_pull_keys_are_the_trace_arm_texts(tmp_path, overrides):
+    cfg = parse_config(minimal(num_rounds=300, **overrides))
+    written = run_experiment(cfg, tmp_path)
+    with written["traces"][0].open(newline="") as fh:
+        arm_texts = Counter(row["arm"] for row in csv.DictReader(fh))
+    summary = json.loads(written["summaries"][0].read_text())
+    assert summary["per_arm_pulls"] == dict(arm_texts)
+    assert len(arm_texts) == (3 if "grid" in overrides else 1)
 
 
 class TestAggregateSummaries:

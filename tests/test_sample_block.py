@@ -229,6 +229,11 @@ def test_runner_errors_match(shift_stream):
         error_message(lambda: lockstep(samples, num_rounds=0)) == \
         error_message(lambda: lockstep([])) == \
         error_message(lambda: SampleBlock.from_samples([])) == "empty sample stream"
+    for bad in (True, 2.5, -1):
+        message = error_message(lambda: lockstep(block, num_rounds=bad))
+        assert message == error_message(lambda: lockstep(samples, num_rounds=bad))
+        assert message == error_message(lambda: lockstep(iter(samples), num_rounds=bad))
+        assert message.startswith("num_rounds must be")
     too_many = SHIFT_ROUNDS + 1
     assert "exceeds" in error_message(lambda: run(GRID, samples, PARAMS, num_rounds=too_many))
     assert error_message(lambda: run(GRID, block, PARAMS, num_rounds=too_many)) == \
