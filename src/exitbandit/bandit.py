@@ -261,15 +261,18 @@ def run_many(policies, samples, reward_params: RewardParams,
     observe(arm, reward_value), called once per round. A policy whose arms
     do not depend on its rewards may instead declare them: a callable
     planned_arms(num_rounds) returning the list select would give over that
-    many rounds. Declared policies are answered after the loop from the
-    stream's exit table, and their select and observe are not called.
+    many rounds; its select and observe are not called. The loop plays the
+    undeclared policies only to choose their arms. After it, every policy's
+    trace is answered from the stream's exit table at its arms
+    (exits.planned_exits), whether they were played or declared.
 
     samples is a SampleBlock or any iterable of samples. Every policy sees
     the identical samples (common random numbers), so cross-policy
     comparisons are paired. Each layer is scored once, however many policies
     play: a SampleBlock into one exit table before the loop (exits.exit_table),
     an iterable into a row per sample, read after every undeclared policy has
-    played the round before. Returns one RunTrace per policy, in input order.
+    played the round before and packed into the table as it is read. Returns
+    one RunTrace per policy, in input order.
     """
     if criterion is None:
         criterion = natural_criterion(reward_params.variant)
@@ -288,8 +291,8 @@ def run_many(policies, samples, reward_params: RewardParams,
     layer_cost = reward_params.layer_cost
 
     declared = [callable(getattr(p, "planned_arms", None)) for p in policies]
-    # per undeclared policy: the policy, then its arms, exit layers, scores and rewards
-    tracks = [(policy, [], [], [], []) for policy, d in zip(policies, declared) if not d]
+    # per undeclared policy: the policy and the arms it played
+    tracks = [(policy, []) for policy, d in zip(policies, declared) if not d]
     if isinstance(samples, SampleBlock):
         if samples.num_layers != num_layers:
             raise ValueError("stream depth does not match reward_params.num_layers")
@@ -299,30 +302,25 @@ def run_many(policies, samples, reward_params: RewardParams,
         columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
     else:
         # per round: the sample's correct_prob, realized_correct and
-        # reliability_risk, and its exit-table row if a policy is declared
+        # reliability_risk, and its exit-table row
         packed = (array.array("d"), bytearray(), array.array("d"))
-        flat_table = array.array("d") if any(declared) else None
+        flat_table = array.array("d")
         rows = _packed_rows(samples, criterion, num_layers, *packed, flat_table)
         t = _play(tracks, itertools.islice(rows, num_rounds), layer_cost)
         if t == 0:
             raise ValueError("empty sample stream")
         columns = [np.frombuffer(buf, dtype).reshape(t, num_layers)
                    for buf, dtype in zip(packed, (np.float64, bool, np.float64))]
-        table = None if flat_table is None else np.frombuffer(flat_table).reshape(t, num_layers)
+        table = np.frombuffer(flat_table).reshape(t, num_layers)
 
-    # every declared policy's arms are checked before any trace is built
+    # every policy's arms are checked before any trace is built
     played = iter(tracks)
     records = []
     for policy, is_declared in zip(policies, declared):
-        if is_declared:
-            arms = list(policy.planned_arms(t))
-            if len(arms) != t:
-                raise ValueError(f"planned_arms gave {len(arms)} arms for {t} rounds")
-            exit_layers, scores = planned_exits(table, arms)
-            records.append((arms, exit_layers, scores,
-                            exit_reward(scores, exit_layers, layer_cost)))
-        else:
-            records.append(next(played)[1:])
+        arms = list(policy.planned_arms(t)) if is_declared else next(played)[1]
+        if len(arms) != t:
+            raise ValueError(f"planned_arms gave {len(arms)} arms for {t} rounds")
+        records.append((arms, *planned_exits(table, arms)))
     return [
         gather_trace(labels[j] if labels is not None else getattr(policy, "name", "policy"),
                      *record, columns, grid=grids[j], reward_params=reward_params,
@@ -332,27 +330,24 @@ def run_many(policies, samples, reward_params: RewardParams,
 
 
 def _play(tracks, rows, layer_cost) -> int:
-    """Play each track's policy on every row, in lockstep; the rows played."""
+    """Play each track's policy on every row, in lockstep, appending its arm
+    to the track; the rows played. An invalid arm raises on its round."""
     t = 0
     for t, (prefix_max, final_score) in enumerate(rows, start=1):
-        for policy, arms, exit_layers, scores, rewards in tracks:
+        for policy, arms in tracks:
             arm = policy.select(t)
             layer, s = exit_at(prefix_max, final_score, arm)
-            r = exit_reward(s, layer, layer_cost)
-            policy.observe(arm, r)
+            policy.observe(arm, exit_reward(s, layer, layer_cost))
             arms.append(arm)
-            exit_layers.append(layer)
-            scores.append(s)
-            rewards.append(r)
     return t
 
 
 def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliability_risk,
                  table):
     """scored_row of each sample, pulled one at a time; its correct_prob,
-    realized_correct and reliability_risk (and, when table is not None, the
-    row itself, flat) are appended to the given buffers as it is read, so
-    the samples themselves are not kept."""
+    realized_correct and reliability_risk and the row itself, flat, are
+    appended to the given buffers as it is read, so the samples themselves
+    are not kept."""
     for sample in samples:
         conf, risk = sample.confidence, sample.reliability_risk
         if len(conf) != num_layers:
@@ -361,13 +356,12 @@ def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliabi
         realized.extend(map(bool, sample.realized_correct))  # numpy bools have no __index__
         reliability_risk.extend(risk)
         row = scored_row(conf, risk, criterion)
-        if table is not None:
-            table.extend(row[0])
-            table.append(row[1])
+        table.extend(row[0])
+        table.append(row[1])
         yield row
 
 
-def gather_trace(policy: str, arms, exit_layers, scores, rewards, columns, *,
+def gather_trace(policy: str, arms, exit_layers, scores, columns, *,
                  grid: ThresholdGrid, reward_params: RewardParams, criterion: Criterion,
                  seed: Optional[int]) -> RunTrace:
     """The RunTrace of one policy's decisions over a stream.
@@ -376,12 +370,12 @@ def gather_trace(policy: str, arms, exit_layers, scores, rewards, columns, *,
     reliability_risk; the trace reads each at the exit layer of every round.
     """
     exit_layers = np.asarray(exit_layers, dtype=np.int32)
+    scores = np.asarray(scores, dtype=np.float64)
     rows, cols = np.arange(len(exit_layers)), exit_layers - 1
     correct_prob, realized, reliability_risk = columns
     return RunTrace(
-        policy=policy, arms=arms, exit_layers=exit_layers,
-        scores=np.asarray(scores, dtype=np.float64),
-        rewards=np.asarray(rewards, dtype=np.float64),
+        policy=policy, arms=arms, exit_layers=exit_layers, scores=scores,
+        rewards=exit_reward(scores, exit_layers, reward_params.layer_cost),
         correct_probs=correct_prob[rows, cols], realized=realized[rows, cols],
         reliabilities=1.0 - reliability_risk[rows, cols],
         grid=grid, reward_params=reward_params, criterion=criterion,
@@ -430,7 +424,9 @@ def run(grid: ThresholdGrid, samples, params: RewardParams, gamma: float = math.
             num_rounds = len(samples)
         except TypeError:
             raise ValueError("num_rounds is required for unsized streams") from None
-    elif hasattr(samples, "__len__") and num_rounds > len(samples):
-        raise ValueError("num_rounds exceeds stream length")
+    else:
+        require_integer("num_rounds", num_rounds)
+        if hasattr(samples, "__len__") and num_rounds > len(samples):
+            raise ValueError("num_rounds exceeds stream length")
     return run_policy(UcbPolicy(grid, gamma=gamma), samples, params, criterion, grid=grid,
                       label="ucb", seed=seed, num_rounds=num_rounds)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .bandit import RewardParams, RunTrace, exit_reward, natural_criterion, run_policy
-from .env import ThresholdGrid
+from .env import ThresholdGrid, require_threshold
 from .exits import Criterion, exit_table, table_exits
 
 
@@ -24,8 +24,7 @@ class FixedPolicy:
     name = "fixed"
 
     def __init__(self, tau: float):
-        if not (0.0 < tau <= 1.0):
-            raise ValueError(f"tau {tau!r} outside (0, 1]")
+        require_threshold(tau)
         self.tau = tau
 
     def select(self, round_number: int) -> float:

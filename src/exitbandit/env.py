@@ -36,6 +36,12 @@ def require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def require_threshold(value) -> None:
+    """Reject an exit threshold outside (0, 1]; NaN is never inside."""
+    if not (0.0 < value <= 1.0):
+        raise ValueError(f"threshold {value!r} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class ThresholdGrid:
     """Finite, strictly increasing set of candidate exit thresholds in (0, 1]."""
@@ -46,8 +52,7 @@ class ThresholdGrid:
         if len(self.values) == 0:
             raise ValueError("threshold grid must be non-empty")
         for v in self.values:
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"threshold {v!r} outside (0, 1]")
+            require_threshold(v)
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("threshold grid must be strictly increasing")
 

@@ -9,7 +9,8 @@ one threshold) is the deployed loop's call and the reference. The other form
 scores each layer once into running maxima: a sample's row (scored_row)
 answers any threshold by bisection (exit_at), and a stream's (T, L)
 exit_table is read row by row (table_rows) or counted at one threshold or
-one per row (table_exits, which planned_exits feeds checked arms).
+one per row (table_exits, which planned_exits feeds checked arms for every
+runner trace).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import SampleBlock, SampleOutcomes
+from .env import SampleBlock, SampleOutcomes, require_threshold
 
 
 class Criterion(enum.Enum):
@@ -68,11 +69,6 @@ def _scorer(criterion: Criterion):
         raise ValueError(f"unknown criterion {criterion!r}") from None
 
 
-def _check_threshold(threshold: float) -> None:
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold {threshold!r} outside (0, 1]")
-
-
 def layer_score(confidence, reliability_risk, criterion: Criterion):
     """Exit score of one layer (or, elementwise, of arrays) under the criterion."""
     return _scorer(criterion)(confidence, reliability_risk)
@@ -86,7 +82,7 @@ def decide(
     The comparison is inclusive: a score exactly equal to the threshold
     exits. Layers beyond the exit are never evaluated.
     """
-    _check_threshold(threshold)
+    require_threshold(threshold)
     score = _scorer(criterion)
     conf, risk = sample.confidence, sample.reliability_risk
     last = len(conf) - 1
@@ -121,7 +117,7 @@ def exit_at(prefix_max, final_score, threshold) -> tuple[int, float]:
     layer.
     """
     if threshold is not None:
-        _check_threshold(threshold)
+        require_threshold(threshold)
         if prefix_max[-1] >= threshold:
             pos = bisect.bisect_left(prefix_max, threshold)
             return pos + 1, prefix_max[pos]
@@ -160,7 +156,7 @@ def planned_exits(table, arms):
     exit_at checks it. Returns the exit layers and the scores at exit."""
     for arm in dict.fromkeys(arms):
         if arm is not None:
-            _check_threshold(arm)
+            require_threshold(arm)
     thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN,
     thresholds[np.isnan(thresholds)] = np.inf      # which exits at the final layer
     return table_exits(table, thresholds)
@@ -187,7 +183,7 @@ def exit_distribution(
         samples = list(samples)
         if not samples:
             raise ValueError("no samples given")
-    _check_threshold(threshold)
+    require_threshold(threshold)
     table = exit_table(samples, criterion)
     layers, _ = table_exits(table, threshold)
     return np.bincount(layers, minlength=table.shape[1] + 1)[1:] / len(layers)

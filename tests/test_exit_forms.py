@@ -2,13 +2,16 @@
 
 decide (one sample, one threshold) is the reference. A sample's exit-table
 row (scored_row) answers many thresholds through exit_at, and run_many plays
-several policies on it per round. A whole stream is scored once into its
-exit table (exit_table): its row view (table_rows) gives the rows scored_row
-gives, and the one counting function (table_exits) answers a threshold for
-every row, as oracle_best_arm, exit_distribution and planned_exits use it. A
-policy that declares its arms (planned_arms) is answered from the stream's
-exit table after the loop and must record what the same policy records
-played round by round; replay_arm is run_policy(FixedPolicy(tau), ...).
+several policies on it per round to choose their arms. A whole stream is
+scored once into its exit table (exit_table): its row view (table_rows)
+gives the rows scored_row gives, and the one counting function
+(table_exits) answers a threshold for every row, as oracle_best_arm,
+exit_distribution and planned_exits use it. Every run_many trace is answered
+from the stream's exit table after the loop by planned_exits, so the
+decide + reward reference (TestRunManyMatchesDecide) is the independent
+check of played traces. A policy that declares its arms (planned_arms) must
+record what the same policy records played round by round; replay_arm is
+run_policy(FixedPolicy(tau), ...).
 Samples are drawn so that scores often equal a threshold exactly,
 thresholds include 1.0, and policies repeat each other's arms or force the
 final layer (arm None).
@@ -393,6 +396,31 @@ class TestDeclaredArms:
         for source in (samples, SampleBlock.from_samples(samples), iter(samples)):
             with pytest.raises(ValueError, match=match):
                 run_many([UcbPolicy(GRID), Declares()], source, params, grid=GRID)
+
+
+class TestOneTracePath:
+    """Every listed policy's trace comes from one planned_exits call on the
+    stream's exit table, whether its arms were played or declared."""
+
+    @pytest.mark.parametrize("open_loop", [False, True], ids=["ucb", "ucb+open_loop"])
+    def test_one_planned_exits_call_per_policy(self, open_loop, monkeypatch):
+        calls = []
+
+        def counted(table, arms):
+            calls.append(len(arms))
+            return planned_exits(table, arms)
+
+        monkeypatch.setattr(bandit, "planned_exits", counted)
+        samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1)), 30,
+                         seed=0)
+        params = RewardParams(lam=0.01, num_layers=4)
+        for source in (samples, SampleBlock.from_samples(samples), iter(samples)):
+            policies = [UcbPolicy(GRID)]
+            if open_loop:
+                policies += [cls(*args) for cls, args in OPEN_LOOP]
+            calls.clear()
+            run_many(policies, source, params, grid=GRID)
+            assert calls == [30] * len(policies)
 
 
 class TestExitColumns:

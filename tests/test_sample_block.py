@@ -238,3 +238,7 @@ def test_runner_errors_match(shift_stream):
     assert "exceeds" in error_message(lambda: run(GRID, samples, PARAMS, num_rounds=too_many))
     assert error_message(lambda: run(GRID, block, PARAMS, num_rounds=too_many)) == \
         error_message(lambda: run(GRID, samples, PARAMS, num_rounds=too_many))
+    assert error_message(lambda: run(GRID, block, PARAMS, num_rounds="5")) == \
+        error_message(lambda: run(GRID, samples, PARAMS, num_rounds="5")) == \
+        error_message(lambda: run(GRID, iter(samples), PARAMS, num_rounds="5")) == \
+        "num_rounds must be an integer, got '5'"
