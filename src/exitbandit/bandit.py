@@ -25,11 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .env import SampleBlock, ThresholdGrid, require_integer
+from .env import SampleBlock, ThresholdGrid, require_finite, require_integer
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
 from .exits import (  # noqa: F401
-    Criterion, ExitDecision, decide, exit_at, exit_table, planned_exits, scored_row, table_rows,
+    Criterion, ExitDecision, decide, exit_at, exit_table, scored_row, table_exits, table_rows,
 )
 
 
@@ -80,7 +80,9 @@ class RewardParams:
     variant: RewardVariant = RewardVariant.PRODUCT_PENALIZED
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
+        require_finite("lam", self.lam)
+        require_integer("num_layers", self.num_layers)
+        if self.lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
@@ -160,6 +162,12 @@ class BanditState:
         for name in ("q_values", "pull_counts", "observations"):
             if len(getattr(self, name)) != k:
                 raise ValueError(f"{name} needs one entry per grid arm ({k})")
+        if not all(map(math.isfinite, self.q_values)):
+            raise ValueError(f"q_values must be finite, got {self.q_values!r}")
+        if min(self.pull_counts) < 1 or min(self.observations) < 0:
+            raise ValueError("pull_counts must be >= 1 and observations >= 0")
+        if self.t < 0:
+            raise ValueError(f"t must be >= 0, got {self.t!r}")
 
     @property
     def q(self) -> dict[float, float]:
@@ -264,7 +272,7 @@ def run_many(policies, samples, reward_params: RewardParams,
     many rounds; its select and observe are not called. The loop plays the
     undeclared policies only to choose their arms. After it, every policy's
     trace is answered from the stream's exit table at its arms
-    (exits.planned_exits), whether they were played or declared.
+    (exits.table_exits), whether they were played or declared.
 
     samples is a SampleBlock or any iterable of samples. Every policy sees
     the identical samples (common random numbers), so cross-policy
@@ -294,10 +302,8 @@ def run_many(policies, samples, reward_params: RewardParams,
     # per undeclared policy: the policy and the arms it played
     tracks = [(policy, []) for policy, d in zip(policies, declared) if not d]
     if isinstance(samples, SampleBlock):
-        if samples.num_layers != num_layers:
-            raise ValueError("stream depth does not match reward_params.num_layers")
         block = samples if num_rounds is None else samples.rows(0, num_rounds)
-        table = exit_table(block, criterion)
+        table = exit_table(block, criterion, num_layers)
         t = _play(tracks, table_rows(table), layer_cost) if tracks else len(block)
         columns = (block.correct_prob, block.realized_correct, block.reliability_risk)
     else:
@@ -320,7 +326,7 @@ def run_many(policies, samples, reward_params: RewardParams,
         arms = list(policy.planned_arms(t)) if is_declared else next(played)[1]
         if len(arms) != t:
             raise ValueError(f"planned_arms gave {len(arms)} arms for {t} rounds")
-        records.append((arms, *planned_exits(table, arms)))
+        records.append((arms, *table_exits(table, arms)))
     return [
         gather_trace(labels[j] if labels is not None else getattr(policy, "name", "policy"),
                      *record, columns, grid=grids[j], reward_params=reward_params,
@@ -333,10 +339,10 @@ def _play(tracks, rows, layer_cost) -> int:
     """Play each track's policy on every row, in lockstep, appending its arm
     to the track; the rows played. An invalid arm raises on its round."""
     t = 0
-    for t, (prefix_max, final_score) in enumerate(rows, start=1):
+    for t, row in enumerate(rows, start=1):
         for policy, arms in tracks:
             arm = policy.select(t)
-            layer, s = exit_at(prefix_max, final_score, arm)
+            layer, s = exit_at(row, arm)
             policy.observe(arm, exit_reward(s, layer, layer_cost))
             arms.append(arm)
     return t
@@ -356,8 +362,7 @@ def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliabi
         realized.extend(map(bool, sample.realized_correct))  # numpy bools have no __index__
         reliability_risk.extend(risk)
         row = scored_row(conf, risk, criterion)
-        table.extend(row[0])
-        table.append(row[1])
+        table.extend(row)
         yield row
 
 
@@ -394,8 +399,10 @@ class UcbPolicy:
 
     def __init__(self, grid: ThresholdGrid, gamma: float = math.sqrt(2.0),
                  horizon: Optional[int] = None):
-        if horizon is not None and horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if horizon is not None:
+            require_integer("horizon", horizon)
+            if horizon < 1:
+                raise ValueError("horizon must be >= 1")
         self.grid = grid
         self.state = BanditState(grid=grid, gamma=gamma)
         self._log_of = None if horizon is None else float(horizon)

@@ -8,9 +8,8 @@ The rule comes in two forms that give the same answers. decide (one sample,
 one threshold) is the deployed loop's call and the reference. The other form
 scores each layer once into running maxima: a sample's row (scored_row)
 answers any threshold by bisection (exit_at), and a stream's (T, L)
-exit_table is read row by row (table_rows) or counted at one threshold or
-one per row (table_exits, which planned_exits feeds checked arms for every
-runner trace).
+exit_table is read row by row (table_rows) or answered at one arm or at one
+arm per row (table_exits).
 """
 
 from __future__ import annotations
@@ -94,34 +93,34 @@ def decide(
 
 
 def scored_row(confidence, reliability_risk, criterion: Criterion = Criterion.PRODUCT):
-    """One sample's row of the exit table, in plain Python: (prefix_max,
-    final_score), the running max of the scores of layers 1..L-1 (a list)
-    and the final layer's score. Ties keep the earlier layer's score."""
+    """One sample's row of the exit table, as a list of Python floats: the
+    running max of the scores of layers 1..L-1, then the final layer's
+    score. Ties keep the earlier layer's score."""
     score = _scorer(criterion)
-    prefix_max = []
+    row = []
     best = -math.inf
     for pos in range(len(confidence) - 1):
         s = score(confidence[pos], reliability_risk[pos])
         if s > best:
             best = s
-        prefix_max.append(best)
-    return prefix_max, score(confidence[-1], reliability_risk[-1])
+        row.append(best)
+    row.append(score(confidence[-1], reliability_risk[-1]))
+    return row
 
 
-def exit_at(prefix_max, final_score, threshold) -> tuple[int, float]:
+def exit_at(row, threshold) -> tuple[int, float]:
     """decide's (exit_layer, score_at_exit) read from a row of the exit table.
 
     The exit is the first layer whose running max clears the threshold,
     found by bisection; there the running max is the layer's own score,
-    since every threshold is above 0. A None threshold exits at the final
-    layer.
+    since every threshold is above 0. When no early layer clears it, and
+    for a None threshold, the exit is the final layer.
     """
+    pos = len(row) - 1
     if threshold is not None:
         require_threshold(threshold)
-        if prefix_max[-1] >= threshold:
-            pos = bisect.bisect_left(prefix_max, threshold)
-            return pos + 1, prefix_max[pos]
-    return len(prefix_max) + 1, final_score
+        pos = bisect.bisect_left(row, threshold, 0, pos)
+    return pos + 1, row[pos]
 
 
 # rows of an exit table converted to Python floats per step of table_rows
@@ -134,7 +133,7 @@ def exit_table(samples, criterion: Criterion = Criterion.PRODUCT, num_layers=Non
     final-layer score. The stream must have num_layers layers (if given)."""
     block = SampleBlock.from_samples(samples)
     if num_layers is not None and block.num_layers != num_layers:
-        raise ValueError("stream depth does not match num_layers")
+        raise ValueError("stream depth does not match reward_params.num_layers")
     # a copy: the confidence criterion's score is the confidence array itself
     table = np.array(_scorer(criterion)(block.confidence, block.reliability_risk))
     running_max = table[:, :-1]
@@ -146,27 +145,20 @@ def table_rows(table):
     """The exit table's rows as scored_row gives them, one per round,
     converted to Python floats a chunk at a time, lazily."""
     for lo in range(0, len(table), _ROW_CHUNK):
-        rows = table[lo:lo + _ROW_CHUNK]
-        yield from zip(rows[:, :-1].tolist(), rows[:, -1].tolist())
+        yield from table[lo:lo + _ROW_CHUNK].tolist()
 
 
-def planned_exits(table, arms):
-    """exit_at over every row of an exit table: row t at arms[t], a
-    threshold or None (the final layer). Each distinct arm is checked as
-    exit_at checks it. Returns the exit layers and the scores at exit."""
-    for arm in dict.fromkeys(arms):
+def table_exits(table, arms):
+    """exit_at over every row of an exit table, at one arm or at arms[t] for
+    row t. An arm is a threshold, each distinct one checked as exit_at checks
+    it, or None (the final layer). Returns the exit layers and the scores at
+    exit: a row's first layer whose running max is not below its threshold."""
+    thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN
+    for arm in dict.fromkeys(arms if thresholds.ndim else (arms,)):
         if arm is not None:
             require_threshold(arm)
-    thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN,
-    thresholds[np.isnan(thresholds)] = np.inf      # which exits at the final layer
-    return table_exits(table, thresholds)
-
-
-def table_exits(table, thresholds):
-    """Exit layers and scores at exit of an exit table's rows at one threshold,
-    or at thresholds[t] for row t (the caller checks them). A row exits at the
-    first layer whose running max is not below its threshold, scoring that max;
-    an infinite threshold exits at the final layer (every score is <= 1)."""
+    # an infinite threshold exits at the final layer (every score is <= 1)
+    thresholds[np.isnan(thresholds)] = np.inf
     pos = np.count_nonzero(table[:, :-1] < np.reshape(thresholds, (-1, 1)), axis=1)
     return pos + 1, table[np.arange(len(table)), pos]
 

@@ -424,13 +424,10 @@ def run_single(config: ExperimentConfig, seed: int) -> SeedResult:
     epsilon_star = empirical_risk(best_trace)[0]
 
     means_for_regret = dict(means)
-    if config.policy.kind == "final":
-        # the always-final policy is a virtual arm; its mean comes from its
-        # own full-length trace over the same stream
-        means_for_regret[None] = math.fsum(trace.rewards) / len(trace)
-    elif config.policy.kind == "fixed" and config.policy.tau not in means_for_regret:
-        # off-grid fixed threshold: same treatment
-        means_for_regret[config.policy.tau] = math.fsum(trace.rewards) / len(trace)
+    if config.policy.kind in ("final", "fixed"):
+        # an open-loop policy's own arm (None, or an off-grid tau) is a virtual
+        # arm; its mean comes from its own full-length trace over the same stream
+        means_for_regret.setdefault(trace.arms[0], math.fsum(trace.rewards) / len(trace))
     attach_regret(trace, means_for_regret, means[best])
     summary = summarize(
         trace, means_for_regret, best,
@@ -673,8 +670,11 @@ def analyze(trace_paths: Sequence, out_dir) -> list[Path]:
     if not paths:
         raise ValueError("analyze needs at least one trace file")
     by_policy: dict[str, list[TraceTable]] = {}
-    round_counts = set()
+    round_counts, resolved = set(), set()
     for p in paths:
+        if p.resolve() in resolved:
+            raise ValueError(f"{p}: trace file given twice")
+        resolved.add(p.resolve())
         policy = _policy_from_trace_name(p)
         table = read_trace_csv(p)
         round_counts.add(len(table))

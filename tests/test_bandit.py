@@ -47,6 +47,10 @@ class TestRewardVariants:
             RewardParams(lam=-0.1, num_layers=12)
         with pytest.raises(ValueError):
             RewardParams(lam=0.0, num_layers=0)
+        for lam, num_layers in ((0.01, 2.5), (0.01, True), (True, 12), (math.nan, 12),
+                                (math.inf, 12), ("0.01", 12)):
+            with pytest.raises(ValueError, match="lam|num_layers"):
+                RewardParams(lam, num_layers)
 
 
 class TestLambdaFromEpsilon:
@@ -127,6 +131,18 @@ class TestBanditState:
         for wrong in ([1], [1, 1, 1, 1]):
             with pytest.raises(ValueError, match=field):
                 BanditState(grid=grid, **{field: wrong})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", -5), ("pull_counts", [0] * 10), ("pull_counts", [1] * 9 + [-1]),
+        ("observations", [1] * 9 + [-1]), ("q_values", [math.nan] * 10),
+        ("q_values", [0.0] * 9 + [math.inf]),
+    ])
+    def test_unusable_numbers_rejected(self, field, value):
+        # every other field is a state select_index can read
+        state = dict(pull_counts=[1] * 10, observations=[1] * 10, t=10)
+        BanditState(grid=default_grid(), **state).select_index()
+        with pytest.raises(ValueError, match=field):
+            BanditState(grid=default_grid(), **{**state, field: value})
 
     def test_round_robin_initialization(self):
         grid = default_grid()
@@ -221,7 +237,7 @@ class TestBanditState:
 
 class TestUcbPolicy:
     def test_horizon_validation(self):
-        for horizon in (0, -5):
+        for horizon in (0, -5, 1.5, True, "10"):
             with pytest.raises(ValueError, match="horizon"):
                 UcbPolicy(default_grid(), horizon=horizon)
 

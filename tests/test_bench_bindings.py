@@ -4,13 +4,16 @@ perfbench/layers.py lists (module, attribute) bindings; its tracer skips a
 binding it cannot find, so a renamed or deleted function would only cost
 spans, silently. This test reads the list with ast (perfbench/ is neither
 imported nor edited) and looks each binding up the way the tracer does.
+A module keeps an import it never reads only so the tracer can wrap that
+name there.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
 
 
 def bench_bindings():
@@ -34,3 +37,24 @@ def test_every_bench_binding_resolves():
         if not callable(vars(owner).get(attr)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def unread_imports(path):
+    """Names that path's top-level imports bind and the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_imports_kept_only_for_the_tracer_are_bound():
+    kept = {(path.stem, name)
+            for path in sorted((ROOT / "src" / "exitbandit").glob("*.py"))
+            if path.name != "__init__.py" for name in unread_imports(path)}
+    assert kept - set(bench_bindings()) == set()

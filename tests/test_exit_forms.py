@@ -1,13 +1,13 @@
 """The exit rule's two forms agree with decide, and every reward with reward().
 
 decide (one sample, one threshold) is the reference. A sample's exit-table
-row (scored_row) answers many thresholds through exit_at, and run_many plays
-several policies on it per round to choose their arms. A whole stream is
-scored once into its exit table (exit_table): its row view (table_rows)
-gives the rows scored_row gives, and the one counting function
-(table_exits) answers a threshold for every row, as oracle_best_arm,
-exit_distribution and planned_exits use it. Every run_many trace is answered
-from the stream's exit table after the loop by planned_exits, so the
+row (scored_row, one list) answers many thresholds through exit_at, and
+run_many plays several policies on it per round to choose their arms. A
+whole stream is scored once into its exit table (exit_table): its row view
+(table_rows) gives the rows scored_row gives, and the one reader
+(table_exits) answers a table at one arm, as oracle_best_arm and
+exit_distribution call it, or at one arm per row. Every run_many trace is
+answered from the stream's exit table after the loop by table_exits, so the
 decide + reward reference (TestRunManyMatchesDecide) is the independent
 check of played traces. A policy that declares its arms (planned_arms) must
 record what the same policy records played round by round; replay_arm is
@@ -53,7 +53,7 @@ from exitbandit import bandit
 from exitbandit.bandit import natural_criterion
 from exitbandit.env import SampleBlock
 from exitbandit.exits import (
-    exit_at, exit_table, layer_score, planned_exits, scored_row, table_exits, table_rows,
+    exit_at, exit_table, layer_score, scored_row, table_exits, table_rows,
 )
 
 THRESHOLDS = (0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
@@ -132,7 +132,7 @@ class TestExitRow:
         row = scored_row(sample.confidence, sample.reliability_risk, criterion)
         for tau in THRESHOLDS + (None,):
             d = reference_decision(sample, tau, criterion)
-            layer, score = exit_at(*row, tau)
+            layer, score = exit_at(row, tau)
             assert (layer, score) == (d.exit_layer, d.score_at_exit)
             assert math.copysign(1.0, score) == math.copysign(1.0, d.score_at_exit)
 
@@ -143,7 +143,7 @@ class TestExitRow:
             with pytest.raises(ValueError, match="threshold"):
                 decide(sample, bad)
             with pytest.raises(ValueError, match="threshold"):
-                exit_at(*row, bad)
+                exit_at(row, bad)
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
@@ -399,18 +399,18 @@ class TestDeclaredArms:
 
 
 class TestOneTracePath:
-    """Every listed policy's trace comes from one planned_exits call on the
+    """Every listed policy's trace comes from one table_exits call on the
     stream's exit table, whether its arms were played or declared."""
 
     @pytest.mark.parametrize("open_loop", [False, True], ids=["ucb", "ucb+open_loop"])
-    def test_one_planned_exits_call_per_policy(self, open_loop, monkeypatch):
+    def test_one_table_exits_call_per_policy(self, open_loop, monkeypatch):
         calls = []
 
         def counted(table, arms):
             calls.append(len(arms))
-            return planned_exits(table, arms)
+            return table_exits(table, arms)
 
-        monkeypatch.setattr(bandit, "planned_exits", counted)
+        monkeypatch.setattr(bandit, "table_exits", counted)
         samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1)), 30,
                          seed=0)
         params = RewardParams(lam=0.01, num_layers=4)
@@ -425,7 +425,7 @@ class TestOneTracePath:
 
 class TestExitColumns:
     """table_exits at one threshold, as oracle_best_arm and exit_distribution
-    call it, against decide."""
+    call it, against decide, and at that threshold on every row."""
 
     @given(data=st.data(), criterion=CRITERIA)
     @settings(max_examples=60, deadline=None)
@@ -438,6 +438,8 @@ class TestExitColumns:
             decisions = [decide(s, tau, criterion) for s in samples]
             assert layers.tolist() == [d.exit_layer for d in decisions]
             assert at_exit.tolist() == [d.score_at_exit for d in decisions]
+            per_row = table_exits(table, [tau] * len(table))
+            assert [a.tolist() for a in per_row] == [layers.tolist(), at_exit.tolist()]
 
     def test_columns_match_decide_on_a_generated_stream(self):
         # 600 generated rows (more than two row chunks); the oracle's means come from
@@ -460,7 +462,9 @@ class TestExitColumns:
         table = exit_table(samples)
         for bad in (0.0, -0.2, 1.5, math.nan):
             with pytest.raises(ValueError, match="threshold"):
-                planned_exits(table, [0.5, bad, None, 0.5])
+                table_exits(table, [0.5, bad, None, 0.5])
+            with pytest.raises(ValueError, match="threshold"):
+                table_exits(table, bad)
             with pytest.raises(ValueError, match="threshold"):
                 exit_distribution(samples, bad)
 
@@ -474,7 +478,7 @@ class TestExitTable:
             rows = list(table_rows(exit_table(samples, criterion)))
             assert rows == [scored_row(s.confidence, s.reliability_risk, criterion)
                             for s in samples]
-            assert all(type(v) is float for row in rows for v in (*row[0], row[1]))
+            assert all(type(v) is float for row in rows for v in row)
 
     def test_run_many_scores_a_block_once(self, monkeypatch):
         calls = []

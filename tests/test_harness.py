@@ -683,6 +683,15 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="at least one"):
             analyze([], tmp_path)
 
+    def test_trace_given_twice_rejected(self, trace_dir, tmp_path):
+        trace = sorted(trace_dir.glob("trace_ucb_*.csv"))[0]
+        # the same file under a second spelling of its path
+        again = trace.parent / ".." / trace.parent.name / trace.name
+        for paths in ([trace, trace], [trace, again]):
+            with pytest.raises(ValueError, match=f"{again.name}: trace file given twice"):
+                analyze(paths, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_alien_filename_rejected(self, tmp_path, trace_dir):
         src = sorted(trace_dir.glob("trace_ucb_*.csv"))[0]
         rogue = tmp_path / "mytrace.csv"
