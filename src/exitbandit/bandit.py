@@ -166,6 +166,7 @@ class BanditState:
             raise ValueError(f"q_values must be finite, got {self.q_values!r}")
         if min(self.pull_counts) < 1 or min(self.observations) < 0:
             raise ValueError("pull_counts must be >= 1 and observations >= 0")
+        require_integer("t", self.t)
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t!r}")
 

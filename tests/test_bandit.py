@@ -133,10 +133,11 @@ class TestBanditState:
                 BanditState(grid=grid, **{field: wrong})
 
     @pytest.mark.parametrize("field, value", [
-        ("t", -5), ("pull_counts", [0] * 10), ("pull_counts", [1] * 9 + [-1]),
+        ("t", -5), ("t", 2.5), ("pull_counts", [0] * 10), ("pull_counts", [1] * 9 + [-1]),
         ("observations", [1] * 9 + [-1]), ("q_values", [math.nan] * 10),
         ("q_values", [0.0] * 9 + [math.inf]),
-    ])
+    ], ids=["t-negative", "t-float", "pull-zero", "pull-negative", "observation-negative",
+            "q-nan", "q-inf"])
     def test_unusable_numbers_rejected(self, field, value):
         # every other field is a state select_index can read
         state = dict(pull_counts=[1] * 10, observations=[1] * 10, t=10)
