@@ -280,7 +280,10 @@ def run_many(policies, samples, reward_params: RewardParams,
     comparisons are paired. Each layer is scored once, however many policies
     play: a SampleBlock into one exit table before the loop (exits.exit_table),
     an iterable into a row per sample, read after every undeclared policy has
-    played the round before and packed into the table as it is read. Returns
+    played the round before and packed into the table as it is read. A
+    generated sample still linked to its pass (simulator.iter_samples) reads
+    its row from that pass's exit table, built once per pass; any other
+    sample is scored alone (exits.scored_row), with the same bits. Returns
     one RunTrace per policy, in input order.
     """
     if criterion is None:
@@ -310,15 +313,14 @@ def run_many(policies, samples, reward_params: RewardParams,
     else:
         # per round: the sample's correct_prob, realized_correct and
         # reliability_risk, and its exit-table row
-        packed = (array.array("d"), bytearray(), array.array("d"))
-        flat_table = array.array("d")
-        rows = _packed_rows(samples, criterion, num_layers, *packed, flat_table)
+        packed = (array.array("d"), array.array("B"), array.array("d"), array.array("d"))
+        rows = _packed_rows(samples, criterion, num_layers, packed)
         t = _play(tracks, itertools.islice(rows, num_rounds), layer_cost)
+        rows.close()  # packs the rows read since the last pack
         if t == 0:
             raise ValueError("empty sample stream")
-        columns = [np.frombuffer(buf, dtype).reshape(t, num_layers)
-                   for buf, dtype in zip(packed, (np.float64, bool, np.float64))]
-        table = np.frombuffer(flat_table).reshape(t, num_layers)
+        *columns, table = [np.frombuffer(buf, dtype).reshape(t, num_layers)
+                           for buf, dtype in zip(packed, (np.float64, bool, np.float64, np.float64))]
 
     # every policy's arms are checked before any trace is built
     played = iter(tracks)
@@ -349,22 +351,55 @@ def _play(tracks, rows, layer_cost) -> int:
     return t
 
 
-def _packed_rows(samples, criterion, num_layers, correct_prob, realized, reliability_risk,
-                 table):
-    """scored_row of each sample, pulled one at a time; its correct_prob,
-    realized_correct and reliability_risk and the row itself, flat, are
-    appended to the given buffers as it is read, so the samples themselves
-    are not kept."""
-    for sample in samples:
-        conf, risk = sample.confidence, sample.reliability_risk
-        if len(conf) != num_layers:
-            raise ValueError("stream depth does not match reward_params.num_layers")
-        correct_prob.extend(sample.correct_prob)
-        realized.extend(map(bool, sample.realized_correct))  # numpy bools have no __index__
-        reliability_risk.extend(risk)
-        row = scored_row(conf, risk, criterion)
-        table.extend(row)
-        yield row
+def _packed_rows(samples, criterion, num_layers, packed):
+    """The exit-table row of each sample, pulled one at a time. The sample's
+    correct_prob, realized_correct and reliability_risk and its row are
+    appended flat to the four packed buffers, so the samples themselves are
+    not kept.
+
+    A generated sample that still holds its pass is read from that pass's
+    exit table, scored once when the pass's first sample arrives; a run of
+    consecutive rows of one pass is packed with one slice per column when it
+    ends (another pass, another row, an unlinked sample, or the generator
+    closed). Any other sample is scored alone (scored_row).
+    """
+    block = object()  # the pass of the current run, its four columns and its table's rows
+    columns, rows = (), None
+    start = stop = 0  # the run is rows start..stop - 1 of the pass
+
+    def pack():
+        for buf, column in zip(packed, columns):
+            buf.frombytes(column[start:stop].tobytes())
+
+    correct_prob, realized, reliability_risk, table = packed
+    try:
+        for sample in samples:
+            link = getattr(sample, "_pass", None)
+            if link is not block or sample._row != stop:
+                pack()  # the run ends
+                if link is None:
+                    start = stop  # no run until a linked sample starts one
+                    conf, risk = sample.confidence, sample.reliability_risk
+                    if len(conf) != num_layers:
+                        raise ValueError("stream depth does not match reward_params.num_layers")
+                    correct_prob.extend(sample.correct_prob)
+                    # numpy bools have no __index__
+                    realized.extend(map(bool, sample.realized_correct))
+                    reliability_risk.extend(risk)
+                    row = scored_row(conf, risk, criterion)
+                    table.extend(row)
+                    yield row
+                    continue
+                if link is not block:
+                    block, pass_table = link, exit_table(link, criterion, num_layers)
+                    columns = (block.correct_prob, block.realized_correct,
+                               block.reliability_risk, pass_table)
+                    rows = pass_table.tolist()
+                start = stop = sample._row
+            stop += 1
+            yield rows[stop - 1]
+    finally:
+        pack()
 
 
 def gather_trace(policy: str, arms, exit_layers, scores, columns, *,

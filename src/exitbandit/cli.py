@@ -116,10 +116,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    seed = config.seeds[0]
-    result = harness.train_reliability(config, seed)
-    print(result["model"])
-    print(result["metrics_file"])
+    for seed in config.seeds:
+        result = harness.train_reliability(config, seed)
+        print(result["model"])
+        print(result["metrics_file"])
     return 0
 
 

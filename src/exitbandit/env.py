@@ -14,7 +14,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,8 +37,12 @@ def require_finite(name: str, value) -> None:
 
 
 def require_threshold(value) -> None:
-    """Reject an exit threshold outside (0, 1]; NaN is never inside."""
-    if not (0.0 < value <= 1.0):
+    """Reject an exit threshold outside (0, 1]; NaN and a non-number are never inside."""
+    try:
+        inside = 0.0 < value <= 1.0
+    except TypeError:
+        inside = False
+    if not inside:
         raise ValueError(f"threshold {value!r} outside (0, 1]")
 
 
@@ -125,7 +129,7 @@ class GeneratorParams:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SampleOutcomes:
     """What the simulated network reports for one sample, one column per field.
 
@@ -137,8 +141,16 @@ class SampleOutcomes:
     realized_correct is the Bernoulli(correct_prob) draw fixed at generation;
     feat is the generator's reliability feature, the input the reliability
     scorer reads next to confidence and depth.
+
+    A generated sample is also a row of its pass: two private slots, not
+    fields, hold the pass's validated SampleBlock and the row's index while
+    the generator is in that pass (see _pass_samples). They take no part in
+    equality, hashing, repr or replace, and a pickled, copied or user-built
+    sample holds no pass.
     """
 
+    __slots__ = ("confidence", "reliability_risk", "correct_prob", "realized_correct", "feat",
+                 "_pass", "_row")
     confidence: tuple[float, ...]
     reliability_risk: tuple[float, ...]
     correct_prob: tuple[float, ...]
@@ -157,6 +169,16 @@ class SampleOutcomes:
             for value in getattr(self, name):
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"{name}={value!r} outside [0, 1]")
+        _set_pass(self, None)
+
+    # a frozen dataclass with __slots__ pickles and copies through these
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in _FIELDS)
+
+    def __setstate__(self, state):
+        for name, value in zip(_FIELDS, state):
+            object.__setattr__(self, name, value)
+        _set_pass(self, None)
 
     @property
     def num_layers(self) -> int:
@@ -244,6 +266,39 @@ class SampleBlock:
         return SampleBlock(self.confidence[start:stop], self.reliability_risk[start:stop],
                            self.correct_prob[start:stop], self.realized_correct[start:stop],
                            self.feat[start:stop])
+
+
+# SampleOutcomes' fields, and its pass slots' setters (they bypass the frozen __setattr__)
+_FIELDS = tuple(f.name for f in fields(SampleOutcomes))
+_set_pass, _set_row = SampleOutcomes._pass.__set__, SampleOutcomes._row.__set__
+
+
+def _pass_samples(block: SampleBlock) -> list[SampleOutcomes]:
+    """One SampleOutcomes per row of a pass's block, linked to the block and
+    its row. The block has run every check __post_init__ would run on its
+    rows, so they are not run again."""
+    setters = [getattr(SampleOutcomes, name).__set__ for name in _FIELDS]
+    set_conf, set_risk, set_cp, set_realized, set_feat = setters
+    new = object.__new__
+    samples = []
+    columns = (getattr(block, name).tolist() for name in _FIELDS)
+    for row, (c, k, p, b, f) in enumerate(zip(*(map(tuple, column) for column in columns))):
+        sample = new(SampleOutcomes)
+        set_conf(sample, c)
+        set_risk(sample, k)
+        set_cp(sample, p)
+        set_realized(sample, b)
+        set_feat(sample, f)
+        _set_pass(sample, block)
+        _set_row(sample, row)
+        samples.append(sample)
+    return samples
+
+
+def _unlink(samples) -> None:
+    """Release each sample's pass: it is an ordinary sample from then on."""
+    for sample in samples:
+        _set_pass(sample, None)
 
 
 @dataclass(frozen=True)

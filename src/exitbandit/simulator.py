@@ -38,6 +38,13 @@ risk, correct prob, realized and feature): `iter_samples` and `stream` build
 one SampleOutcomes per row, and `sample_block` concatenates them into one
 read-only SampleBlock, equal to the stacked stream bit for bit. A shorter
 stream is a prefix of a longer one in either form.
+
+A generated sample is a row of its validated pass: `iter_samples` checks
+each pass once as a SampleBlock, builds the pass's samples from its rows
+without checking each value again, and links each sample to the block and
+its row, so a reader such as `bandit.run_many` can score the pass once. The
+link is released when the generator leaves the pass: a built `stream` holds
+no block.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ import numpy as np
 # active_params stays in this namespace: the benchmark's traced run wraps
 # simulator.active_params
 from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params  # noqa: F401
-from .env import SampleBlock, require_integer
+from .env import SampleBlock, _pass_samples, _unlink, require_integer
 
 # a corrupted layer's confidence and correct_prob are uniform on these ranges
 _CORRUPT_CONF = (0.7, 0.95)
@@ -128,10 +135,14 @@ def _columns(params, Z, U, F, corrupted) -> tuple:
 
 
 def _samples(columns) -> Iterator[SampleOutcomes]:
-    """One SampleOutcomes per row of a pass's _columns arrays."""
-    conf, risk, cp, realized, feat = (column.tolist() for column in columns)
-    for c, k, p, b, f in zip(conf, risk, cp, realized, feat):
-        yield SampleOutcomes(tuple(c), tuple(k), tuple(p), tuple(b), tuple(f))
+    """One SampleOutcomes per row of a pass's _columns arrays: the pass is
+    validated once, as a SampleBlock, and each sample holds it and its row
+    until the generator leaves the pass."""
+    samples = _pass_samples(SampleBlock(*columns))
+    try:
+        yield from samples
+    finally:
+        _unlink(samples)
 
 
 def generate_sample(params: GeneratorParams, rng: np.random.Generator) -> SampleOutcomes:

@@ -150,6 +150,21 @@ class TestTrainReliability:
         names = [p.rsplit("/", 1)[-1] for p in printed_paths(capsys)]
         assert names == ["reliability_3.json", "reliability_metrics_3.json"]
 
+    def test_trains_every_seed_in_config_order(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, num_rounds=100, reliability={"epochs": 20})
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert main(["train-reliability", "--config", str(cfg), "--seeds", "7,8",
+                     "--out", str(both)]) == 0
+        paths = printed_paths(capsys)
+        assert [Path(p).name for p in paths] == [
+            "reliability_7.json", "reliability_metrics_7.json",
+            "reliability_8.json", "reliability_metrics_8.json"]
+        assert main(["train-reliability", "--config", str(cfg), "--seed", "8",
+                     "--out", str(alone)]) == 0
+        assert printed_paths(capsys) == [str(alone / Path(p).name) for p in paths[2:]]
+        for name in ("reliability_8.json", "reliability_metrics_8.json"):
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
+
 
 class TestSweep:
     def test_variant_axis_accepts_names(self, capsys, tmp_path):

@@ -9,9 +9,11 @@ whole stream is scored once into its exit table (exit_table): its row view
 exit_distribution call it, or at one arm per row. Every run_many trace is
 answered from the stream's exit table after the loop by table_exits, so the
 decide + reward reference (TestRunManyMatchesDecide) is the independent
-check of played traces. A policy that declares its arms (planned_arms) must
-record what the same policy records played round by round; replay_arm is
-run_policy(FixedPolicy(tau), ...).
+check of played traces. A live iter_samples stream is read from one exit
+table per pass, and a stream() list one scored_row per sample. A policy
+that declares its arms (planned_arms) must record what the same policy
+records played round by round; replay_arm is run_policy(FixedPolicy(tau),
+...).
 Samples are drawn so that scores often equal a threshold exactly,
 thresholds include 1.0, and policies repeat each other's arms or force the
 final layer (arm None).
@@ -139,7 +141,7 @@ class TestExitRow:
     def test_out_of_range_threshold_raises_like_decide(self):
         sample = make_sample([0.9, 0.9])
         row = scored_row(sample.confidence, sample.reliability_risk)
-        for bad in (0.0, -0.2, 1.5):
+        for bad in (0.0, -0.2, 1.5, "0.5"):
             with pytest.raises(ValueError, match="threshold"):
                 decide(sample, bad)
             with pytest.raises(ValueError, match="threshold"):
@@ -213,6 +215,28 @@ class TestRunManyPullsLockstep:
                 expected += [("select", policy, t), ("observe", policy, t)]
         assert log == expected
         assert [len(trace) for trace in traces] == [20] * 3
+
+    def test_live_stream_pulled_the_same_way(self):
+        # 300 rounds of 4 layers cross two pass edges (128 and 256) and stop inside a pass
+        samples = iter_samples(ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1)),
+                               400, seed=0)
+        log = []
+
+        def logged():
+            for t, sample in enumerate(samples, start=1):
+                log.append(("pull", None, t))
+                yield sample
+
+        policies = [LoggedPolicy(arm, log) for arm in (0.5, None, 0.9)]
+        params = RewardParams(lam=0.01, num_layers=4)
+        traces = run_many(policies, logged(), params, grid=GRID, num_rounds=300)
+        expected = []
+        for t in range(1, 301):
+            expected.append(("pull", None, t))
+            for policy in policies:
+                expected += [("select", policy, t), ("observe", policy, t)]
+        assert log == expected
+        assert [len(trace) for trace in traces] == [300] * 3
 
 
 class TestOracleMatchesReplay:
@@ -460,13 +484,17 @@ class TestExitColumns:
     def test_threshold_validated(self):
         samples = stream(ShiftSchedule.constant(GeneratorParams(num_layers=3)), 4, seed=0)
         table = exit_table(samples)
-        for bad in (0.0, -0.2, 1.5, math.nan):
+        for bad in (0.0, -0.2, 1.5, math.nan, "0.5"):
             with pytest.raises(ValueError, match="threshold"):
                 table_exits(table, [0.5, bad, None, 0.5])
             with pytest.raises(ValueError, match="threshold"):
                 table_exits(table, bad)
             with pytest.raises(ValueError, match="threshold"):
                 exit_distribution(samples, bad)
+        with pytest.raises(ValueError, match="threshold"):
+            table_exits(table, ["0.5"] * len(table))
+        with pytest.raises(ValueError, match="threshold"):
+            exit_distribution(samples, None)
 
 
 class TestExitTable:
@@ -494,6 +522,29 @@ class TestExitTable:
         traces = run_many(policies, block, RewardParams(lam=0.01, num_layers=4), grid=GRID)
         assert len(calls) == 1
         assert [len(trace) for trace in traces] == [600] * len(policies)
+
+    def test_run_many_scores_a_live_pass_once(self, monkeypatch):
+        tables, rows = [], []
+
+        def counted_table(*args, **kwargs):
+            tables.append(args)
+            return exit_table(*args, **kwargs)
+
+        def counted_row(*args, **kwargs):
+            rows.append(args)
+            return scored_row(*args, **kwargs)
+
+        monkeypatch.setattr(bandit, "exit_table", counted_table)
+        monkeypatch.setattr(bandit, "scored_row", counted_row)
+        schedule = ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1))
+        policies = [UcbPolicy(GRID)] + [cls(*args) for cls, args in OPEN_LOOP]
+        params = RewardParams(lam=0.01, num_layers=4)
+        run_many(policies, iter_samples(schedule, 600, seed=0), params, grid=GRID)
+        # 600 rounds are passes of 128, 128, 128, 128 (one 512-round seeding block) and 88
+        assert (len(tables), len(rows)) == (5, 0)
+        tables.clear()
+        run_many(policies, stream(schedule, 600, seed=0), params, grid=GRID)
+        assert (len(tables), len(rows)) == (0, 600)
 
 
 def test_generated_outcomes_hold_plain_floats():

@@ -5,25 +5,39 @@ sample_block must hold exactly the five fields of stream(), bit for bit
 be a prefix of a longer one across pass and seeding-block edges; and the
 runner must record the same traces, and raise the same errors, from a block
 as from the list of samples.
+
+A sample iter_samples yields is a row of its validated pass while the
+generator is in that pass: the runner reads it from the pass's exit table.
+Traces from a live stream, alone or mixed with other samples, must equal
+those from the same samples in a list, and a linked sample must behave as
+any other sample.
 """
 
+import copy
 import dataclasses
+import itertools
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from exitbandit import (
+    FinalLayerPolicy,
     FixedPolicy,
     GeneratorParams,
+    RandomPolicy,
     RewardParams,
     SampleOutcomes,
     ShiftSchedule,
     UcbPolicy,
     default_grid,
+    iter_samples,
     run,
     run_many,
     stream,
 )
+from exitbandit import simulator
 from exitbandit.env import SampleBlock
 from exitbandit.harness import parse_config
 from exitbandit.simulator import sample_block
@@ -242,3 +256,95 @@ def test_runner_errors_match(shift_stream):
         error_message(lambda: run(GRID, samples, PARAMS, num_rounds="5")) == \
         error_message(lambda: run(GRID, iter(samples), PARAMS, num_rounds="5")) == \
         "num_rounds must be an integer, got '5'"
+
+
+def every_policy(samples, **kwargs):
+    """UCB, played round by round, and the open-loop policies, declared."""
+    policies = [UcbPolicy(GRID), FinalLayerPolicy(), RandomPolicy(GRID, 11)]
+    policies += [FixedPolicy(v) for v in GRID.values]
+    return run_many(policies, samples, PARAMS, grid=GRID, seed=7, **kwargs)
+
+
+def live(num_rounds=SHIFT_ROUNDS, seed=3):
+    return iter_samples(LOCKSTEP, num_rounds, seed)
+
+
+class TestLiveStream:
+    @pytest.mark.parametrize("rounds", [127, 128, 129, 301, 600])
+    def test_same_traces_from_every_source(self, shift_stream, rounds):
+        # pass edges at 128, 256, ..., 512, 550 (the segment ends) and 678
+        block, samples = shift_stream
+        expected = every_policy(samples, num_rounds=rounds)
+        assert_same_traces(every_policy(block, num_rounds=rounds), expected)
+        assert_same_traces(every_policy(live(), num_rounds=rounds), expected)
+        assert_same_traces(every_policy(live(rounds)), expected)
+        assert_same_traces(every_policy(stream(LOCKSTEP, rounds, 3)), expected)
+
+    @pytest.mark.parametrize("mix", ["copies", "repeats", "alternating"])
+    def test_mixed_sources_equal_the_same_samples_from_a_list(self, mix):
+        def copies(samples):
+            # every third sample replaced by a user-built equal copy
+            for t, sample in enumerate(samples):
+                yield dataclasses.replace(sample) if t % 3 == 1 else sample
+
+        def repeats(samples):
+            # every fifth sample yielded twice in a row
+            for t, sample in enumerate(samples):
+                yield sample
+                if t % 5 == 4:
+                    yield sample
+
+        def alternating(first, second):
+            return itertools.chain.from_iterable(zip(first, second))
+
+        rounds = 700
+        if mix == "alternating":
+            source = alternating(live(400, 3), live(400, 4))
+            listed = list(alternating(stream(LOCKSTEP, 400, 3), stream(LOCKSTEP, 400, 4)))
+        else:
+            mixer = copies if mix == "copies" else repeats
+            source, listed = mixer(live()), list(mixer(stream(LOCKSTEP, SHIFT_ROUNDS, 3)))
+        assert_same_traces(every_policy(source, num_rounds=rounds),
+                           every_policy(listed, num_rounds=rounds))
+
+    def test_wrong_depth_raises_the_runner_message(self, shift_stream):
+        deeper = RewardParams(lam=0.0, num_layers=13)
+        expected = error_message(lambda: lockstep(shift_stream[1], deeper))
+        assert error_message(lambda: lockstep(live(), deeper)) == expected
+        assert expected == "stream depth does not match reward_params.num_layers"
+
+    def test_generated_sample_behaves_as_any_sample(self):
+        samples = live(300)
+        sample = next(itertools.islice(samples, 5, None))  # row 5 of the first pass
+        assert sample._pass is not None
+        built = SampleOutcomes(*(getattr(sample, f.name)
+                                 for f in dataclasses.fields(SampleOutcomes)))
+        assert [f.name for f in dataclasses.fields(sample)] == list(COLUMNS)
+        for other in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample),
+                      copy.copy(sample), dataclasses.replace(sample), built):
+            assert other == sample and hash(other) == hash(sample)
+            assert repr(other) == repr(sample)
+            assert other._pass is None
+        assert dataclasses.replace(sample, feat=(0.0,) * 12) != sample
+
+    def test_no_pass_block_outlives_its_pass(self):
+        samples = live(300)
+        first = next(samples)
+        block = weakref.ref(first._pass)
+        assert block() is not None
+        rest = list(samples)
+        assert block() is None and first._pass is None
+        assert all(sample._pass is None for sample in rest)
+        assert all(sample._pass is None for sample in stream(LOCKSTEP, 300, 3))
+
+    def test_pass_values_still_range_checked(self, monkeypatch):
+        columns = simulator._columns
+
+        def out_of_range(*args):
+            conf, *rest = columns(*args)
+            conf[3, 2] = 1.5
+            return (conf, *rest)
+
+        monkeypatch.setattr(simulator, "_columns", out_of_range)
+        with pytest.raises(ValueError, match=r"confidence=1.5 outside \[0, 1\]"):
+            next(live(10))
