@@ -29,7 +29,7 @@ from .env import SampleBlock, ThresholdGrid, require_finite, require_integer
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
 from .exits import (  # noqa: F401
-    Criterion, ExitDecision, decide, exit_at, exit_table, scored_row, table_exits, table_rows,
+    Criterion, ExitDecision, decide, exit_at, exit_table, table_exits, table_rows,
 )
 
 
@@ -278,13 +278,14 @@ def run_many(policies, samples, reward_params: RewardParams,
     samples is a SampleBlock or any iterable of samples. Every policy sees
     the identical samples (common random numbers), so cross-policy
     comparisons are paired. Each layer is scored once, however many policies
-    play: a SampleBlock into one exit table before the loop (exits.exit_table),
-    an iterable into a row per sample, read after every undeclared policy has
-    played the round before and packed into the table as it is read. A
+    play, and every row is a row of an exit table (exits.exit_table). A
+    SampleBlock, or a list or tuple of samples stacked into one, is scored
+    into one table before the loop. Any other iterable is read a sample at a
+    time, after every undeclared policy has played the round before: a
     generated sample still linked to its pass (simulator.iter_samples) reads
-    its row from that pass's exit table, built once per pass; any other
-    sample is scored alone (exits.scored_row), with the same bits. Returns
-    one RunTrace per policy, in input order.
+    its row from that pass's table, built once per pass, and any other
+    sample is read as a one-row pass. Returns one RunTrace per policy, in
+    input order.
     """
     if criterion is None:
         criterion = natural_criterion(reward_params.variant)
@@ -305,6 +306,8 @@ def run_many(policies, samples, reward_params: RewardParams,
     declared = [callable(getattr(p, "planned_arms", None)) for p in policies]
     # per undeclared policy: the policy and the arms it played
     tracks = [(policy, []) for policy, d in zip(policies, declared) if not d]
+    if isinstance(samples, (list, tuple)):
+        samples = SampleBlock.from_samples(samples[:num_rounds])
     if isinstance(samples, SampleBlock):
         block = samples if num_rounds is None else samples.rows(0, num_rounds)
         table = exit_table(block, criterion, num_layers)
@@ -357,45 +360,34 @@ def _packed_rows(samples, criterion, num_layers, packed):
     appended flat to the four packed buffers, so the samples themselves are
     not kept.
 
-    A generated sample that still holds its pass is read from that pass's
-    exit table, scored once when the pass's first sample arrives; a run of
+    A sample's row is a row of its pass: the pass a generated sample still
+    holds, or for any other sample a one-row pass of its own. The pass's
+    exit table is scored once, when its first sample arrives, and a run of
     consecutive rows of one pass is packed with one slice per column when it
-    ends (another pass, another row, an unlinked sample, or the generator
-    closed). Any other sample is scored alone (scored_row).
+    ends (another pass, another row, or the generator closed).
     """
-    block = object()  # the pass of the current run, its four columns and its table's rows
-    columns, rows = (), None
+    block, columns, rows = None, (), None  # the pass of the current run, its four columns and rows
     start = stop = 0  # the run is rows start..stop - 1 of the pass
 
     def pack():
         for buf, column in zip(packed, columns):
             buf.frombytes(column[start:stop].tobytes())
 
-    correct_prob, realized, reliability_risk, table = packed
     try:
         for sample in samples:
             link = getattr(sample, "_pass", None)
-            if link is not block or sample._row != stop:
+            if link is None:  # a sample from no pass is a one-row pass
+                link, row = SampleBlock.from_samples((sample,)), 0
+            else:
+                row = sample._row
+            if link is not block or row != stop:
                 pack()  # the run ends
-                if link is None:
-                    start = stop  # no run until a linked sample starts one
-                    conf, risk = sample.confidence, sample.reliability_risk
-                    if len(conf) != num_layers:
-                        raise ValueError("stream depth does not match reward_params.num_layers")
-                    correct_prob.extend(sample.correct_prob)
-                    # numpy bools have no __index__
-                    realized.extend(map(bool, sample.realized_correct))
-                    reliability_risk.extend(risk)
-                    row = scored_row(conf, risk, criterion)
-                    table.extend(row)
-                    yield row
-                    continue
                 if link is not block:
-                    block, pass_table = link, exit_table(link, criterion, num_layers)
+                    block, table = link, exit_table(link, criterion, num_layers)
                     columns = (block.correct_prob, block.realized_correct,
-                               block.reliability_risk, pass_table)
-                    rows = pass_table.tolist()
-                start = stop = sample._row
+                               block.reliability_risk, table)
+                    rows = table.tolist()
+                start = stop = row
             stop += 1
             yield rows[stop - 1]
     finally:

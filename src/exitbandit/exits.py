@@ -6,17 +6,15 @@ qualifies when the model is both confident and believed reliable.
 
 The rule comes in two forms that give the same answers. decide (one sample,
 one threshold) is the deployed loop's call and the reference. The other form
-scores each layer once into running maxima: a sample's row (scored_row)
-answers any threshold by bisection (exit_at), and a stream's (T, L)
-exit_table is read row by row (table_rows) or answered at one arm or at one
-arm per row (table_exits).
+scores each layer once into running maxima: a stream's (T, L) exit_table,
+whose every row answers any threshold by bisection (exit_at), is read row by
+row (table_rows) or answered at one arm or at one arm per row (table_exits).
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,22 +90,6 @@ def decide(
     return ExitDecision(last + 1, score(conf[last], risk[last]), False)
 
 
-def scored_row(confidence, reliability_risk, criterion: Criterion = Criterion.PRODUCT):
-    """One sample's row of the exit table, as a list of Python floats: the
-    running max of the scores of layers 1..L-1, then the final layer's
-    score. Ties keep the earlier layer's score."""
-    score = _scorer(criterion)
-    row = []
-    best = -math.inf
-    for pos in range(len(confidence) - 1):
-        s = score(confidence[pos], reliability_risk[pos])
-        if s > best:
-            best = s
-        row.append(best)
-    row.append(score(confidence[-1], reliability_risk[-1]))
-    return row
-
-
 def exit_at(row, threshold) -> tuple[int, float]:
     """decide's (exit_layer, score_at_exit) read from a row of the exit table.
 
@@ -130,7 +112,11 @@ _ROW_CHUNK = 256
 def exit_table(samples, criterion: Criterion = Criterion.PRODUCT, num_layers=None):
     """(T, L) exit table of a SampleBlock or an iterable of samples: row t
     holds the running max of sample t's scores over layers 1..L-1, then its
-    final-layer score. The stream must have num_layers layers (if given)."""
+    final-layer score. The stream must have num_layers layers (if given).
+
+    Where -0.0 and 0.0 tie, the running max keeps the later zero. Its sign
+    never shows in an exit: every threshold is above 0, so an entry of zero
+    is never an early exit."""
     block = SampleBlock.from_samples(samples)
     if num_layers is not None and block.num_layers != num_layers:
         raise ValueError("stream depth does not match reward_params.num_layers")
@@ -142,8 +128,8 @@ def exit_table(samples, criterion: Criterion = Criterion.PRODUCT, num_layers=Non
 
 
 def table_rows(table):
-    """The exit table's rows as scored_row gives them, one per round,
-    converted to Python floats a chunk at a time, lazily."""
+    """The exit table's rows, one list per round, converted to Python floats
+    a chunk at a time, lazily."""
     for lo in range(0, len(table), _ROW_CHUNK):
         yield from table[lo:lo + _ROW_CHUNK].tolist()
 
@@ -152,11 +138,15 @@ def table_exits(table, arms):
     """exit_at over every row of an exit table, at one arm or at arms[t] for
     row t. An arm is a threshold, each distinct one checked as exit_at checks
     it, or None (the final layer). Returns the exit layers and the scores at
-    exit: a row's first layer whose running max is not below its threshold."""
-    thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN
-    for arm in dict.fromkeys(arms if thresholds.ndim else (arms,)):
+    exit: a row's first layer whose running max is not below its threshold.
+    Per-row arms come as a list or tuple of one arm per row."""
+    per_row = isinstance(arms, (list, tuple))
+    for arm in dict.fromkeys(arms if per_row else (arms,)):
         if arm is not None:
             require_threshold(arm)
+    if per_row and len(arms) != len(table):
+        raise ValueError(f"{len(arms)} arms for {len(table)} rows")
+    thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN
     # an infinite threshold exits at the final layer (every score is <= 1)
     thresholds[np.isnan(thresholds)] = np.inf
     pos = np.count_nonzero(table[:, :-1] < np.reshape(thresholds, (-1, 1)), axis=1)
@@ -171,10 +161,6 @@ def exit_distribution(
 
     Returns an array of length num_layers summing to 1 (within float error).
     """
-    if not isinstance(samples, SampleBlock):
-        samples = list(samples)
-        if not samples:
-            raise ValueError("no samples given")
     require_threshold(threshold)
     table = exit_table(samples, criterion)
     layers, _ = table_exits(table, threshold)

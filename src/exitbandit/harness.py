@@ -58,6 +58,7 @@ from .env import (
     GeneratorParams,
     ShiftSchedule,
     ThresholdGrid,
+    require_integer,
 )
 from .exits import Criterion
 from .metrics import (FINAL_ARM_TOKEN, RunSummary, arm_key, attach_regret, empirical_risk,
@@ -758,6 +759,11 @@ def benchmark_overhead(
     median, mean, and 90th percentile; sample generation and reward
     computation are excluded by construction.
     """
+    for name, value, least in (("num_arms", num_arms, 1), ("rounds", rounds, 1),
+                               ("warmup", warmup, 0)):
+        require_integer(name, value)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     values = tuple(float(v) for v in np.linspace(0.5, 1.0, num_arms))
     grid = ThresholdGrid(values)
     state = BanditState(grid=grid, gamma=gamma)

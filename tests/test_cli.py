@@ -254,6 +254,15 @@ class TestBench:
         assert report["rounds"] == 2000
         assert report["median_us"] > 0.0
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--rounds", "0"], "rounds"), (["--rounds", "-3"], "rounds"),
+        (["--arms", "0"], "num_arms"),
+    ])
+    def test_unusable_counts_rejected(self, capsys, argv, name):
+        assert main(["bench", *argv]) == 1
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert error.startswith(f"{name} must be >= 1")
+
 
 class TestErrorReporting:
     def test_missing_config_file(self, capsys, tmp_path):

@@ -1,16 +1,16 @@
 """The exit rule's two forms agree with decide, and every reward with reward().
 
-decide (one sample, one threshold) is the reference. A sample's exit-table
-row (scored_row, one list) answers many thresholds through exit_at, and
-run_many plays several policies on it per round to choose their arms. A
-whole stream is scored once into its exit table (exit_table): its row view
-(table_rows) gives the rows scored_row gives, and the one reader
-(table_exits) answers a table at one arm, as oracle_best_arm and
-exit_distribution call it, or at one arm per row. Every run_many trace is
-answered from the stream's exit table after the loop by table_exits, so the
-decide + reward reference (TestRunManyMatchesDecide) is the independent
-check of played traces. A live iter_samples stream is read from one exit
-table per pass, and a stream() list one scored_row per sample. A policy
+decide (one sample, one threshold) is the reference. A stream is scored
+once into its exit table (exit_table); a row of it (one list) answers many
+thresholds through exit_at, and run_many plays several policies on it per
+round to choose their arms. The table's row view (table_rows) gives each
+sample's one-row table, and the one reader (table_exits) answers a table at
+one arm, as oracle_best_arm and exit_distribution call it, or at one arm
+per row. Every run_many trace is answered from the stream's exit table
+after the loop by table_exits, so the decide + reward reference
+(TestRunManyMatchesDecide) is the independent check of played traces. A
+stream() list or tuple is scored as one block, a live iter_samples stream
+one exit table per pass, and any other sample as a one-row pass. A policy
 that declares its arms (planned_arms) must record what the same policy
 records played round by round; replay_arm is run_policy(FixedPolicy(tau),
 ...).
@@ -55,7 +55,7 @@ from exitbandit import bandit
 from exitbandit.bandit import natural_criterion
 from exitbandit.env import SampleBlock
 from exitbandit.exits import (
-    exit_at, exit_table, layer_score, scored_row, table_exits, table_rows,
+    exit_at, exit_table, layer_score, table_exits, table_rows,
 )
 
 THRESHOLDS = (0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
@@ -116,6 +116,11 @@ def reference_decision(sample, arm, criterion):
 
 
 CRITERIA = st.sampled_from(list(Criterion))
+
+
+def one_row(sample, criterion=Criterion.PRODUCT):
+    """The sample's row of its own one-row exit table."""
+    return exit_table([sample], criterion)[0].tolist()
 VARIANTS = st.sampled_from(list(RewardVariant))
 LAMBDAS = st.sampled_from((0.0, 0.01, 0.1 / 3, 0.25))
 
@@ -131,7 +136,7 @@ class TestExitRow:
         num_layers = data.draw(st.integers(min_value=2, max_value=8))
         sample = data.draw(samples_of_depth(num_layers, max_size=1,
                                             confidences=SIGNED_CONFIDENCES))[0]
-        row = scored_row(sample.confidence, sample.reliability_risk, criterion)
+        row = one_row(sample, criterion)
         for tau in THRESHOLDS + (None,):
             d = reference_decision(sample, tau, criterion)
             layer, score = exit_at(row, tau)
@@ -140,7 +145,7 @@ class TestExitRow:
 
     def test_out_of_range_threshold_raises_like_decide(self):
         sample = make_sample([0.9, 0.9])
-        row = scored_row(sample.confidence, sample.reliability_risk)
+        row = one_row(sample)
         for bad in (0.0, -0.2, 1.5, "0.5"):
             with pytest.raises(ValueError, match="threshold"):
                 decide(sample, bad)
@@ -148,8 +153,11 @@ class TestExitRow:
                 exit_at(row, bad)
 
     def test_unknown_criterion_rejected(self):
+        sample = make_sample([0.9, 0.9])
         with pytest.raises(ValueError, match="criterion"):
-            scored_row((0.9, 0.9), (0.0, 0.0), "product")
+            exit_table([sample], "product")
+        with pytest.raises(ValueError, match="criterion"):
+            decide(sample, 0.5, "product")
 
 
 class TestRunManyMatchesDecide:
@@ -491,8 +499,12 @@ class TestExitColumns:
                 table_exits(table, bad)
             with pytest.raises(ValueError, match="threshold"):
                 exit_distribution(samples, bad)
-        with pytest.raises(ValueError, match="threshold"):
-            table_exits(table, ["0.5"] * len(table))
+        for bad in ([object()] * len(table), ["abc"] * len(table), ["0.5"] * len(table)):
+            with pytest.raises(ValueError, match="threshold"):
+                table_exits(table, bad)
+        for arms in ([0.5] * 3, (0.5,) * 5):
+            with pytest.raises(ValueError, match=f"{len(arms)} arms for 4 rows"):
+                table_exits(table, arms)
         with pytest.raises(ValueError, match="threshold"):
             exit_distribution(samples, None)
 
@@ -504,8 +516,7 @@ class TestExitTable:
                          rounds, seed=rounds)
         for criterion in Criterion:
             rows = list(table_rows(exit_table(samples, criterion)))
-            assert rows == [scored_row(s.confidence, s.reliability_risk, criterion)
-                            for s in samples]
+            assert rows == [one_row(s, criterion) for s in samples]
             assert all(type(v) is float for row in rows for v in row)
 
     def test_run_many_scores_a_block_once(self, monkeypatch):
@@ -524,27 +535,24 @@ class TestExitTable:
         assert [len(trace) for trace in traces] == [600] * len(policies)
 
     def test_run_many_scores_a_live_pass_once(self, monkeypatch):
-        tables, rows = [], []
+        tables = []
 
-        def counted_table(*args, **kwargs):
+        def counted(*args, **kwargs):
             tables.append(args)
             return exit_table(*args, **kwargs)
 
-        def counted_row(*args, **kwargs):
-            rows.append(args)
-            return scored_row(*args, **kwargs)
-
-        monkeypatch.setattr(bandit, "exit_table", counted_table)
-        monkeypatch.setattr(bandit, "scored_row", counted_row)
+        monkeypatch.setattr(bandit, "exit_table", counted)
         schedule = ShiftSchedule.constant(GeneratorParams(num_layers=4, seed=1))
         policies = [UcbPolicy(GRID)] + [cls(*args) for cls, args in OPEN_LOOP]
         params = RewardParams(lam=0.01, num_layers=4)
-        run_many(policies, iter_samples(schedule, 600, seed=0), params, grid=GRID)
-        # 600 rounds are passes of 128, 128, 128, 128 (one 512-round seeding block) and 88
-        assert (len(tables), len(rows)) == (5, 0)
-        tables.clear()
-        run_many(policies, stream(schedule, 600, seed=0), params, grid=GRID)
-        assert (len(tables), len(rows)) == (0, 600)
+        listed = stream(schedule, 600, seed=0)
+        # 600 rounds are passes of 128, 128, 128, 128 (one 512-round seeding block) and 88;
+        # a list or tuple is one block, and a sample from no pass is a one-row pass
+        for source, calls in ((iter_samples(schedule, 600, seed=0), 5), (listed, 1),
+                              (tuple(listed), 1), (iter(listed), 600)):
+            tables.clear()
+            run_many(policies, source, params, grid=GRID)
+            assert len(tables) == calls
 
 
 def test_generated_outcomes_hold_plain_floats():

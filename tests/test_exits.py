@@ -146,7 +146,7 @@ class TestExitDistribution:
         assert exit_distribution(samples, 0.5).sum() == pytest.approx(1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
+        with pytest.raises(ValueError, match="empty sample stream"):
             exit_distribution([], 0.5)
 
     def test_block_and_its_list_agree(self):

@@ -729,5 +729,13 @@ class TestBenchmarkOverhead:
         assert 0.0 < report["median_us"] <= report["p90_us"]
         assert report["median_us"] < 1000.0
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"num_arms": 0}, "num_arms must be >= 1"), ({"rounds": 0}, "rounds must be >= 1"),
+        ({"warmup": -1}, "warmup must be >= 0"), ({"rounds": 2.5}, "rounds must be an integer"),
+    ])
+    def test_rejects_unusable_counts(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            benchmark_overhead(**kwargs)
+
     def test_sweep_axes_frozen(self):
         assert SWEEP_AXES == ("lambda", "epsilon", "tau", "variant")

@@ -6,8 +6,10 @@ be a prefix of a longer one across pass and seeding-block edges; and the
 runner must record the same traces, and raise the same errors, from a block
 as from the list of samples.
 
-A sample iter_samples yields is a row of its validated pass while the
-generator is in that pass: the runner reads it from the pass's exit table.
+A list or tuple of samples is stacked into one block before the runner's
+loop. A sample iter_samples yields is a row of its validated pass while the
+generator is in that pass: the runner reads it from the pass's exit table,
+and any other sample as a one-row pass.
 Traces from a live stream, alone or mixed with other samples, must equal
 those from the same samples in a list, and a linked sample must behave as
 any other sample.
@@ -225,6 +227,19 @@ def test_lockstep_traces_identical_from_block_and_list(shift_stream):
     assert_same_traces(lockstep(block), lockstep(samples))
     assert_same_traces(lockstep(block, num_rounds=600), lockstep(samples, num_rounds=600))
     assert_same_traces(lockstep(block, num_rounds=5000), lockstep(samples))
+    assert_same_traces(lockstep(tuple(samples), num_rounds=600), lockstep(block, num_rounds=600))
+
+
+def test_mixed_depth_list_raises_before_any_round():
+    class Unplayed(UcbPolicy):
+        def select(self, round_number):
+            raise AssertionError("a policy was played")
+
+    shallow = stream(ShiftSchedule.constant(GeneratorParams(num_layers=11)), 3, 0)
+    mixed = stream(LOCKSTEP, 3, 3) + shallow
+    for source in (mixed, tuple(mixed)):
+        with pytest.raises(ValueError, match="depth"):
+            run_many([Unplayed(GRID)], source, PARAMS, grid=GRID)
 
 
 def error_message(fn) -> str:
