@@ -139,8 +139,8 @@ def table_exits(table, arms):
     row t. An arm is a threshold, each distinct one checked as exit_at checks
     it, or None (the final layer). Returns the exit layers and the scores at
     exit: a row's first layer whose running max is not below its threshold.
-    Per-row arms come as a list or tuple of one arm per row."""
-    per_row = isinstance(arms, (list, tuple))
+    Per-row arms come as a list, tuple or array of one arm per row."""
+    per_row = isinstance(arms, (list, tuple, np.ndarray))
     for arm in dict.fromkeys(arms if per_row else (arms,)):
         if arm is not None:
             require_threshold(arm)
