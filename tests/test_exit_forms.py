@@ -4,7 +4,7 @@ decide (one sample, one threshold) is the reference. A stream is scored
 once into its exit table (exit_table); a row of it (one list) answers many
 thresholds through exit_at, and run_many plays several policies on it per
 round to choose their arms. The table's row view (table_rows) gives each
-sample's one-row table, and the one reader (table_exits) answers a table at
+sample's row of its own one-row table, and the one reader (table_exits) answers a table at
 one arm, as oracle_best_arm and exit_distribution call it, or at one arm
 per row. Every run_many trace is answered from the stream's exit table
 after the loop by table_exits, so the decide + reward reference
@@ -115,12 +115,12 @@ def reference_decision(sample, arm, criterion):
     return decide(sample, arm, criterion)
 
 
-CRITERIA = st.sampled_from(list(Criterion))
-
-
 def one_row(sample, criterion=Criterion.PRODUCT):
     """The sample's row of its own one-row exit table."""
     return exit_table([sample], criterion)[0].tolist()
+
+
+CRITERIA = st.sampled_from(list(Criterion))
 VARIANTS = st.sampled_from(list(RewardVariant))
 LAMBDAS = st.sampled_from((0.0, 0.01, 0.1 / 3, 0.25))
 
