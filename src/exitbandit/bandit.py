@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import SampleBlock, ThresholdGrid, require_finite, require_integer
+from .env import SampleBlock, ThresholdGrid, require_count, require_finite, require_integer
 # decide (the single-threshold form of the rule) stays in this namespace so
 # code that looks up or wraps bandit.decide keeps working
 from .exits import (  # noqa: F401
@@ -81,11 +81,9 @@ class RewardParams:
 
     def __post_init__(self):
         require_finite("lam", self.lam)
-        require_integer("num_layers", self.num_layers)
+        require_count("num_layers", self.num_layers, 1)
         if self.lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
 
     @property
     def layer_cost(self) -> float:
@@ -97,8 +95,7 @@ def lambda_from_epsilon(epsilon: float, num_layers: int) -> float:
     """Per-layer cost that spends a total risk budget epsilon over L layers."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
+    require_count("num_layers", num_layers, 1)
     return epsilon / num_layers
 
 
@@ -150,7 +147,8 @@ class BanditState:
     t: int = 0
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma < math.inf:
+        require_finite("gamma", self.gamma)
+        if self.gamma < 1.0:
             raise ValueError(f"gamma must be finite and >= 1, got {self.gamma!r}")
         k = len(self.grid)
         if not self.q_values:
@@ -166,9 +164,7 @@ class BanditState:
             raise ValueError(f"q_values must be finite, got {self.q_values!r}")
         if min(self.pull_counts) < 1 or min(self.observations) < 0:
             raise ValueError("pull_counts must be >= 1 and observations >= 0")
-        require_integer("t", self.t)
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t!r}")
+        require_count("t", self.t, 0)
 
     @property
     def q(self) -> dict[float, float]:
@@ -294,9 +290,7 @@ def run_many(policies, samples, reward_params: RewardParams,
     if labels is not None and len(labels) != len(policies):
         raise ValueError("labels and policies differ in length")
     if num_rounds is not None:
-        require_integer("num_rounds", num_rounds)
-        if num_rounds < 0:
-            raise ValueError(f"num_rounds must be >= 0, got {num_rounds}")
+        require_count("num_rounds", num_rounds, 0)
     grids = [grid if grid is not None else getattr(p, "grid", None) for p in policies]
     if any(g is None for g in grids):
         raise ValueError("pass grid= for policies that do not carry one")
@@ -428,9 +422,7 @@ class UcbPolicy:
     def __init__(self, grid: ThresholdGrid, gamma: float = math.sqrt(2.0),
                  horizon: Optional[int] = None):
         if horizon is not None:
-            require_integer("horizon", horizon)
-            if horizon < 1:
-                raise ValueError("horizon must be >= 1")
+            require_count("horizon", horizon, 1)
         self.grid = grid
         self.state = BanditState(grid=grid, gamma=gamma)
         self._log_of = None if horizon is None else float(horizon)

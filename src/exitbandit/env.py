@@ -5,6 +5,10 @@ outcome field, with one entry per exit layer of a depth-L network. A
 SampleBlock holds a whole stream as the same columns stacked, one row per
 sample. Threshold policies pick an exit threshold per round, and the
 outcomes at the chosen exit layer determine the reward.
+
+Each input rule is written here once and called wherever a value enters: the
+require_* checks, and a sample's columns (_FIELDS, their block dtypes, the
+[0, 1] columns and the finite one), which SampleOutcomes and SampleBlock both read.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_count(name: str, value, least: int) -> None:
+    """Reject anything but an integer of at least least (see require_integer)."""
+    require_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def require_finite(name: str, value) -> None:
     """Reject anything but a finite real number; bool is never one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -37,12 +48,13 @@ def require_finite(name: str, value) -> None:
 
 
 def require_threshold(value) -> None:
-    """Reject an exit threshold outside (0, 1]; NaN and a non-number are never inside."""
+    """Reject an exit threshold outside (0, 1]; NaN, a bool, an array and a non-number
+    are never inside. A number compares to True or np.True_, an array to an array."""
     try:
-        inside = 0.0 < value <= 1.0
-    except TypeError:
+        inside = value is not True and 0.0 < value <= 1.0
+    except (TypeError, ValueError):
         inside = False
-    if not inside:
+    if inside is not True and inside is not np.True_:
         raise ValueError(f"threshold {value!r} outside (0, 1]")
 
 
@@ -108,13 +120,11 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_integer("num_layers", self.num_layers)
-        require_integer("seed", self.seed)
+        require_count("num_layers", self.num_layers, 2)
+        require_count("seed", self.seed, 0)
         for name in ("difficulty_spread", "depth_gain", "confidence_noise",
                      "reliability_signal", "overconfidence_rate", "noise_accuracy_drag"):
             require_finite(name, getattr(self, name))
-        if self.num_layers < 2:
-            raise ValueError("num_layers must be >= 2")
         if self.difficulty_spread < 0:
             raise ValueError("difficulty_spread must be >= 0")
         if self.confidence_noise < 0:
@@ -125,8 +135,6 @@ class GeneratorParams:
             raise ValueError("overconfidence_rate must be in [0, 1]")
         if self.noise_accuracy_drag < 0:
             raise ValueError("noise_accuracy_drag must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,13 +170,16 @@ class SampleOutcomes:
         num_layers = len(self.confidence)
         if num_layers < 2:
             raise ValueError("a sample needs at least 2 layers")
-        if not (len(self.reliability_risk) == len(self.correct_prob)
-                == len(self.realized_correct) == len(self.feat) == num_layers):
+        if any(len(getattr(self, name)) != num_layers for name in _FIELDS):
             raise ValueError("per-layer columns differ in length")
-        for name in ("confidence", "reliability_risk", "correct_prob"):
+        for name in _UNIT_COLUMNS:
             for value in getattr(self, name):
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"{name}={value!r} outside [0, 1]")
+        for name in _FINITE_COLUMNS:
+            for value in getattr(self, name):
+                if not -math.inf < value < math.inf:
+                    raise ValueError(f"{name}={value!r} is not finite")
         _set_pass(self, None)
 
     # a frozen dataclass with __slots__ pickles and copies through these
@@ -201,31 +212,30 @@ class SampleBlock:
     feat: np.ndarray
 
     def __post_init__(self):
-        shape = self.confidence.shape
+        columns = [getattr(self, name) for name in _FIELDS]
+        shape = columns[0].shape
         if len(shape) != 2:
             raise ValueError("block columns must be (rounds, layers) arrays")
         if shape[1] < 2:
             raise ValueError("a sample needs at least 2 layers")
         if shape[0] < 1:
             raise ValueError("empty sample stream")
-        if not (self.reliability_risk.shape == self.correct_prob.shape
-                == self.realized_correct.shape == self.feat.shape == shape):
+        if any(x.shape != shape for x in columns):
             raise ValueError("per-layer columns differ in shape")
-        if self.realized_correct.dtype != np.bool_:
-            raise ValueError("realized_correct must be a bool array")
-        for name in ("confidence", "reliability_risk", "correct_prob", "feat"):
-            if getattr(self, name).dtype != np.float64:
-                raise ValueError(f"{name} must be a float64 array")
-        for name in ("confidence", "reliability_risk", "correct_prob"):
+        for name, x, dtype in zip(_FIELDS, columns, _DTYPES):
+            if x.dtype != dtype:
+                raise ValueError(f"{name} must be a {dtype.name} array")
+        for name in _UNIT_COLUMNS:
             x = getattr(self, name)
             bad = ~((x >= 0.0) & (x <= 1.0))  # also catches NaN
             if bad.any():
                 raise ValueError(f"{name}={float(x[bad][0])!r} outside [0, 1]")
-        bad = ~np.isfinite(self.feat)
-        if bad.any():
-            raise ValueError(f"feat={float(self.feat[bad][0])!r} is not finite")
-        for x in (self.confidence, self.reliability_risk, self.correct_prob,
-                  self.realized_correct, self.feat):
+        for name in _FINITE_COLUMNS:
+            x = getattr(self, name)
+            bad = ~np.isfinite(x)
+            if bad.any():
+                raise ValueError(f"{name}={float(x[bad][0])!r} is not finite")
+        for x in columns:
             x.flags.writeable = False
 
     @classmethod
@@ -245,9 +255,7 @@ class SampleBlock:
             values = itertools.chain.from_iterable(map(operator.attrgetter(column), samples))
             return np.fromiter(values, dtype).reshape(len(samples), depth)
 
-        return cls(stack("confidence", np.float64), stack("reliability_risk", np.float64),
-                   stack("correct_prob", np.float64), stack("realized_correct", bool),
-                   stack("feat", np.float64))
+        return cls(*map(stack, _FIELDS, _DTYPES))
 
     def __len__(self) -> int:
         return len(self.confidence)
@@ -263,13 +271,15 @@ class SampleBlock:
             raise ValueError(f"row range {start}..{stop} needs 0 <= start <= stop")
         if start == 0 and stop >= len(self):
             return self
-        return SampleBlock(self.confidence[start:stop], self.reliability_risk[start:stop],
-                           self.correct_prob[start:stop], self.realized_correct[start:stop],
-                           self.feat[start:stop])
+        return SampleBlock(*(getattr(self, name)[start:stop] for name in _FIELDS))
 
 
-# SampleOutcomes' fields, and its pass slots' setters (they bypass the frozen __setattr__)
+# a sample's columns, declared once: SampleOutcomes' fields in order, the dtype
+# of each as a SampleBlock column, the probability columns and the other real one
 _FIELDS = tuple(f.name for f in fields(SampleOutcomes))
+_DTYPES = tuple(map(np.dtype, (np.float64, np.float64, np.float64, np.bool_, np.float64)))
+_UNIT_COLUMNS, _FINITE_COLUMNS = _FIELDS[:3], _FIELDS[4:]
+# the pass slots' setters (they bypass the frozen __setattr__)
 _set_pass, _set_row = SampleOutcomes._pass.__set__, SampleOutcomes._row.__set__
 
 

@@ -141,7 +141,11 @@ def table_exits(table, arms):
     exit: a row's first layer whose running max is not below its threshold.
     Per-row arms come as a list, tuple or array of one arm per row."""
     per_row = isinstance(arms, (list, tuple, np.ndarray))
-    for arm in dict.fromkeys(arms if per_row else (arms,)):
+    try:
+        distinct = dict.fromkeys(arms if per_row else (arms,))
+    except TypeError:  # an unhashable arm, such as a list, is checked with the rest
+        distinct = arms
+    for arm in distinct:
         if arm is not None:
             require_threshold(arm)
     if per_row and len(arms) != len(table):

@@ -58,7 +58,7 @@ from .env import (
     GeneratorParams,
     ShiftSchedule,
     ThresholdGrid,
-    require_integer,
+    require_count,
 )
 from .exits import Criterion
 from .metrics import (FINAL_ARM_TOKEN, RunSummary, arm_key, attach_regret, empirical_risk,
@@ -77,7 +77,10 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration content."""
 
 
-def _strict(payload: dict, allowed: Sequence[str], where: str) -> None:
+def _strict(payload, allowed: Sequence[str], where: str) -> None:
+    """A JSON object with no key outside allowed."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(payload) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}")
@@ -102,9 +105,7 @@ def _number(value, where: str) -> float:
 _GENERATOR_KEYS = tuple(f.name for f in dataclasses.fields(GeneratorParams))
 
 
-def _parse_generator(payload: dict, where: str) -> GeneratorParams:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where} must be an object")
+def _parse_generator(payload, where: str) -> GeneratorParams:
     _strict(payload, _GENERATOR_KEYS, where)
     try:
         return GeneratorParams(**payload)
@@ -117,8 +118,6 @@ def _parse_schedule(payload, where: str) -> ShiftSchedule:
         raise ConfigError(f"{where} must be a non-empty list of segments")
     segments = []
     for pos, seg in enumerate(payload):
-        if not isinstance(seg, dict):
-            raise ConfigError(f"{where}[{pos}] must be an object")
         _strict(seg, ("start_round", "generator"), f"{where}[{pos}]")
         if "start_round" not in seg or "generator" not in seg:
             raise ConfigError(f"{where}[{pos}] needs start_round and generator")
@@ -133,8 +132,7 @@ def _parse_schedule(payload, where: str) -> ShiftSchedule:
 
 
 def _parse_grid(payload, where: str) -> ThresholdGrid:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where} must be an object")
+    _strict(payload, ("values", "size", "low", "high"), where)
     if "values" in payload:
         _strict(payload, ("values",), where)
         values = payload["values"]
@@ -326,8 +324,6 @@ def parse_config(payload: dict) -> ExperimentConfig:
         raise ConfigError("calibration_tol must be in (0, 1)")
 
     training_payload = payload.get("reliability", {})
-    if not isinstance(training_payload, dict):
-        raise ConfigError("reliability must be an object")
     _strict(training_payload, ("epochs", "learning_rate", "sharpness",
                                "holdout_fraction"), "reliability")
     holdout_fraction = _number(training_payload.get("holdout_fraction", 0.2),
@@ -759,11 +755,9 @@ def benchmark_overhead(
     median, mean, and 90th percentile; sample generation and reward
     computation are excluded by construction.
     """
-    for name, value, least in (("num_arms", num_arms, 1), ("rounds", rounds, 1),
-                               ("warmup", warmup, 0)):
-        require_integer(name, value)
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    require_count("num_arms", num_arms, 1)
+    require_count("rounds", rounds, 1)
+    require_count("warmup", warmup, 0)
     values = tuple(float(v) for v in np.linspace(0.5, 1.0, num_arms))
     grid = ThresholdGrid(values)
     state = BanditState(grid=grid, gamma=gamma)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .env import SampleBlock, require_finite, require_integer
+from .env import SampleBlock, require_count, require_finite
 
 SCHEMA_NAME = "reliability-linear"
 SCHEMA_VERSION = 1
@@ -41,9 +41,7 @@ class ReliabilityModel:
     num_layers: int
 
     def __post_init__(self):
-        require_integer("num_layers", self.num_layers)
-        if self.num_layers < 2:
-            raise ValueError("num_layers must be >= 2")
+        require_count("num_layers", self.num_layers, 2)
         if len(self.weights) < 3:
             raise ValueError("weights must cover >=1 feature, depth, bias")
         for w in self.weights:
@@ -104,12 +102,10 @@ class Hyperparams:
 
     def __post_init__(self):
         require_finite("learning_rate", self.learning_rate)
-        require_integer("epochs", self.epochs)
+        require_count("epochs", self.epochs, 1)
         require_finite("sharpness", self.sharpness)
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if self.sharpness <= 0.0:
             raise ValueError("sharpness must be positive")
 

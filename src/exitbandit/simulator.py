@@ -58,7 +58,7 @@ import numpy as np
 # active_params stays in this namespace: the benchmark's traced run wraps
 # simulator.active_params
 from .env import GeneratorParams, SampleOutcomes, ShiftSchedule, active_params  # noqa: F401
-from .env import SampleBlock, _pass_samples, _unlink, require_integer
+from .env import SampleBlock, _pass_samples, _unlink, require_count
 
 # a corrupted layer's confidence and correct_prob are uniform on these ranges
 _CORRUPT_CONF = (0.7, 0.95)
@@ -225,12 +225,8 @@ def _pcg64_states(words: np.ndarray) -> list[dict]:
 
 
 def _check_stream_args(num_rounds, seed) -> None:
-    require_integer("num_rounds", num_rounds)
-    require_integer("seed", seed)
-    if num_rounds < 1:
-        raise ValueError("num_rounds must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    require_count("num_rounds", num_rounds, 1)
+    require_count("seed", seed, 0)
 
 
 def _passes(schedule, num_rounds, seed) -> Iterator[tuple]:

@@ -237,6 +237,10 @@ class TestBanditState:
 
 
 class TestUcbPolicy:
+    def test_bool_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma must be a finite number"):
+            UcbPolicy(default_grid(), gamma=True)
+
     def test_horizon_validation(self):
         for horizon in (0, -5, 1.5, True, "10"):
             with pytest.raises(ValueError, match="horizon"):

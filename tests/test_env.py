@@ -1,18 +1,29 @@
-"""Threshold grid, generator parameter validation, and shift schedules."""
+"""Threshold grid, generator parameter validation, shift schedules, and the
+count rule at every site that takes a count."""
 
 import numpy as np
 import pytest
 
 from conftest import make_sample
 from exitbandit import (
+    BanditState,
+    FixedPolicy,
     GeneratorParams,
+    ReliabilityModel,
+    RewardParams,
     SampleOutcomes,
     ShiftSchedule,
     ThresholdGrid,
+    UcbPolicy,
     default_grid,
     iter_samples,
+    run_many,
+    stream,
 )
+from exitbandit.bandit import lambda_from_epsilon
 from exitbandit.env import active_params
+from exitbandit.harness import benchmark_overhead
+from exitbandit.reliability import Hyperparams
 
 
 class TestDefaultGrid:
@@ -40,7 +51,7 @@ class TestThresholdGrid:
         with pytest.raises(ValueError, match="non-empty"):
             ThresholdGrid(())
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, True])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="outside"):
             ThresholdGrid((bad,))
@@ -115,6 +126,12 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError, match=f"{name}=.* outside \\[0, 1\\]"):
             SampleOutcomes(**self.columns(**{name: (0.5, bad)}))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feat_rejected(self, bad):
+        # the block's rule, so a sample that constructs also stacks into a block
+        with pytest.raises(ValueError, match=f"feat={bad!r} is not finite"):
+            SampleOutcomes(**self.columns(feat=(0.5, bad)))
+
 
 class TestShiftSchedule:
     def test_constant(self):
@@ -173,3 +190,40 @@ class TestShiftSchedule:
         with pytest.raises(ValueError, match="num_layers"):
             ShiftSchedule(((1, GeneratorParams(num_layers=12)),
                            (5, GeneratorParams(num_layers=6))))
+
+
+SCHEDULE = ShiftSchedule.constant(GeneratorParams(num_layers=3))
+
+# every site that takes a count: (argument name, least value, call with the count)
+COUNT_SITES = {
+    "GeneratorParams.num_layers": ("num_layers", 2, lambda v: GeneratorParams(num_layers=v)),
+    "GeneratorParams.seed": ("seed", 0, lambda v: GeneratorParams(seed=v)),
+    "RewardParams.num_layers": ("num_layers", 1, lambda v: RewardParams(0.0, num_layers=v)),
+    "lambda_from_epsilon": ("num_layers", 1, lambda v: lambda_from_epsilon(0.01, v)),
+    "BanditState.t": ("t", 0, lambda v: BanditState(grid=default_grid(), t=v)),
+    "run_many.num_rounds": ("num_rounds", 0, lambda v: run_many(
+        [FixedPolicy(0.5)], stream(SCHEDULE, 2, seed=0), RewardParams(0.0, 3),
+        grid=default_grid(), num_rounds=v)),
+    "UcbPolicy.horizon": ("horizon", 1, lambda v: UcbPolicy(default_grid(), horizon=v)),
+    "ReliabilityModel.num_layers": ("num_layers", 2, lambda v: ReliabilityModel(
+        weights=(0.0, 0.0, 0.0), num_layers=v)),
+    "Hyperparams.epochs": ("epochs", 1, lambda v: Hyperparams(epochs=v)),
+    "stream.num_rounds": ("num_rounds", 1, lambda v: stream(SCHEDULE, v, seed=0)),
+    "stream.seed": ("seed", 0, lambda v: stream(SCHEDULE, 1, seed=v)),
+    "benchmark_overhead.num_arms": ("num_arms", 1, lambda v: benchmark_overhead(num_arms=v)),
+    "benchmark_overhead.rounds": ("rounds", 1, lambda v: benchmark_overhead(rounds=v)),
+    "benchmark_overhead.warmup": ("warmup", 0, lambda v: benchmark_overhead(warmup=v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "below"])
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_count_rule(site, bad):
+    name, least, call = COUNT_SITES[site]
+    value, match = {
+        "bool": (True, f"{name} must be an integer, got True"),
+        "float": (2.0, f"{name} must be an integer, got 2.0"),
+        "below": (least - 1, f"{name} must be >= {least}, got {least - 1}"),
+    }[bad]
+    with pytest.raises(ValueError, match=match):
+        call(value)

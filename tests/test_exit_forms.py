@@ -146,7 +146,7 @@ class TestExitRow:
     def test_out_of_range_threshold_raises_like_decide(self):
         sample = make_sample([0.9, 0.9])
         row = one_row(sample)
-        for bad in (0.0, -0.2, 1.5, "0.5"):
+        for bad in (0.0, -0.2, 1.5, "0.5", True):
             with pytest.raises(ValueError, match="threshold"):
                 decide(sample, bad)
             with pytest.raises(ValueError, match="threshold"):
@@ -499,7 +499,8 @@ class TestExitColumns:
                 table_exits(table, bad)
             with pytest.raises(ValueError, match="threshold"):
                 exit_distribution(samples, bad)
-        for bad in ([object()] * len(table), ["abc"] * len(table), ["0.5"] * len(table)):
+        for bad in ([object()] * len(table), ["abc"] * len(table), ["0.5"] * len(table),
+                    [[0.5]] * len(table), np.full((len(table), 1), 0.5)):
             with pytest.raises(ValueError, match="threshold"):
                 table_exits(table, bad)
         for arms in ([0.5] * 3, (0.5,) * 5):

@@ -77,7 +77,7 @@ class TestDecide:
         assert scored_confidences == [0.1, 0.2]
         assert d.score_at_exit == 0.2
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1, "0.5", None])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1, "0.5", None, True])
     def test_invalid_threshold_rejected(self, bad):
         with pytest.raises(ValueError, match="threshold"):
             decide(make_sample([0.5, 0.5]), bad)

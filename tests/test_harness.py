@@ -732,6 +732,7 @@ class TestBenchmarkOverhead:
     @pytest.mark.parametrize("kwargs, match", [
         ({"num_arms": 0}, "num_arms must be >= 1"), ({"rounds": 0}, "rounds must be >= 1"),
         ({"warmup": -1}, "warmup must be >= 0"), ({"rounds": 2.5}, "rounds must be an integer"),
+        ({"gamma": True}, "gamma must be a finite number"),
     ])
     def test_rejects_unusable_counts(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
