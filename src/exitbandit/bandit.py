@@ -12,6 +12,13 @@ is played, ties going to the smallest threshold. BanditState.select_index
 and update_index are deliberately plain-Python over flat lists: per-round
 controller overhead has a microsecond budget and numpy's per-call cost
 dominates at ten arms.
+
+The deployed step (select -> decide -> reward -> observe) does no hashing in
+Python and works nothing out again: Criterion and RewardVariant hash by
+identity (Enum's own __hash__ is a Python function, and the step hashed a
+member twice), RewardParams.layer_cost is worked out once per instance, and
+select_index reads math.sqrt from a local name. At a few microseconds a step,
+each such call was a visible share of it.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,6 +55,8 @@ class RewardVariant(enum.Enum):
     CONFIDENCE_PENALIZED = "confidence_penalized"  # conf - lambda * layer
     RELIABILITY = "reliability"                    # reliab
     RELIABILITY_PENALIZED = "reliability_penalized"
+
+    __hash__ = object.__hash__  # identity, as for Criterion: no Python-level hash
 
 
 _PENALIZED = frozenset(
@@ -85,9 +95,10 @@ class RewardParams:
         if self.lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
 
-    @property
+    @cached_property
     def layer_cost(self) -> float:
-        """Per-layer penalty the variant pays: lam if penalized, else 0."""
+        """Per-layer penalty the variant pays: lam if penalized, else 0.
+        Worked out on the first read and kept: the fields are frozen."""
         return self.lam if has_penalty(self.variant) else 0.0
 
 
@@ -190,10 +201,11 @@ class BanditState:
         gamma = self.gamma
         q = self.q_values
         n = self.pull_counts
+        sqrt = math.sqrt
         best = 0
-        best_index = q[0] + gamma * math.sqrt(log_t / n[0])
+        best_index = q[0] + gamma * sqrt(log_t / n[0])
         for i in range(1, k):
-            v = q[i] + gamma * math.sqrt(log_t / n[i])
+            v = q[i] + gamma * sqrt(log_t / n[i])
             if v > best_index:
                 best_index = v
                 best = i

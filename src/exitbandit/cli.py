@@ -162,8 +162,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (harness.ConfigError, ValueError, OSError) as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
+    except (harness.ConfigError, ValueError, OSError, MemoryError) as e:
+        # a bare MemoryError has no message
+        print(json.dumps({"error": str(e) or type(e).__name__}), file=sys.stderr)
         return 1
 
 

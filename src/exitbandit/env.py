@@ -47,14 +47,18 @@ def require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+_NP_TRUE = np.True_  # a singleton, like True
+
+
 def require_threshold(value) -> None:
-    """Reject an exit threshold outside (0, 1]; NaN, a bool, an array and a non-number
-    are never inside. A number compares to True or np.True_, an array to an array."""
+    """Reject an exit threshold outside (0, 1]; NaN, a bool (Python's or numpy's), an
+    array and a non-number are never inside. A number compares to True or np.True_,
+    an array to an array."""
     try:
-        inside = value is not True and 0.0 < value <= 1.0
+        inside = value is not True and value is not _NP_TRUE and 0.0 < value <= 1.0
     except (TypeError, ValueError):
         inside = False
-    if inside is not True and inside is not np.True_:
+    if inside is not True and inside is not _NP_TRUE:
         raise ValueError(f"threshold {value!r} outside (0, 1]")
 
 

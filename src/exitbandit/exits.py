@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +29,14 @@ class Criterion(enum.Enum):
     CONFIDENCE = "confidence"      # raw confidence
     RELIABILITY = "reliability"    # 1 - reliability_risk
 
+    # members are singletons compared by identity; Enum's own __hash__ is
+    # Python code, and _scorer hashes a member on every decide
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, slots=True)
-class ExitDecision:
-    """Outcome of running the exit rule on one sample."""
+
+class ExitDecision(NamedTuple):
+    """Outcome of running the exit rule on one sample. A tuple, built once
+    per decide: a NamedTuple costs about half a frozen dataclass to build."""
 
     exit_layer: int
     score_at_exit: float
@@ -108,6 +112,8 @@ def exit_at(row, threshold) -> tuple[int, float]:
 # rows of an exit table converted to Python floats per step of table_rows
 _ROW_CHUNK = 256
 
+_BOOLS = frozenset((bool, np.bool_))
+
 
 def exit_table(samples, criterion: Criterion = Criterion.PRODUCT, num_layers=None):
     """(T, L) exit table of a SampleBlock or an iterable of samples: row t
@@ -148,6 +154,9 @@ def table_exits(table, arms):
     for arm in distinct:
         if arm is not None:
             require_threshold(arm)
+    # a bool equals 1 and dedupes into an equal arm before it; look for one only then
+    if per_row and 1 in distinct and not _BOOLS.isdisjoint(map(type, arms)):
+        require_threshold(next(arm for arm in arms if type(arm) in _BOOLS))
     if per_row and len(arms) != len(table):
         raise ValueError(f"{len(arms)} arms for {len(table)} rows")
     thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN
