@@ -17,8 +17,8 @@ The deployed step (select -> decide -> reward -> observe) does no hashing in
 Python and works nothing out again: Criterion and RewardVariant hash by
 identity (Enum's own __hash__ is a Python function, and the step hashed a
 member twice), RewardParams.layer_cost is worked out once per instance, and
-select_index reads math.sqrt from a local name. At a few microseconds a step,
-each such call was a visible share of it.
+select_index reads math.sqrt from a local name. In a step of a few
+microseconds, each such call is a visible share.
 """
 
 from __future__ import annotations

@@ -112,6 +112,7 @@ def exit_at(row, threshold) -> tuple[int, float]:
 # rows of an exit table converted to Python floats per step of table_rows
 _ROW_CHUNK = 256
 
+# the types of a bool arm, which equals 1 and is never a threshold
 _BOOLS = frozenset((bool, np.bool_))
 
 

@@ -1,7 +1,9 @@
 """Bandit core: index arithmetic, state updates, rewards, and the run loop."""
 
+import copy
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,6 +53,44 @@ class TestRewardVariants:
                                 (math.inf, 12), ("0.01", 12)):
             with pytest.raises(ValueError, match="lam|num_layers"):
                 RewardParams(lam, num_layers)
+
+
+    @pytest.mark.parametrize("variant", list(RewardVariant))
+    def test_keys_after_pickle_and_deepcopy(self, variant):
+        for copied in (pickle.loads(pickle.dumps(variant)), copy.deepcopy(variant)):
+            assert copied is variant and hash(copied) == hash(variant)
+            assert {variant: 1}[copied] == 1 and copied in {variant}
+            assert has_penalty(copied) == has_penalty(variant)
+            assert natural_criterion(copied) is natural_criterion(variant)
+
+
+PENALIZED = {RewardVariant.PRODUCT_PENALIZED, RewardVariant.CONFIDENCE_PENALIZED,
+             RewardVariant.RELIABILITY_PENALIZED}
+
+
+class TestLayerCost:
+    @pytest.mark.parametrize("variant", list(RewardVariant))
+    def test_lam_if_penalized(self, variant):
+        params = RewardParams(0.02, 12, variant)
+        assert params.layer_cost == (0.02 if variant in PENALIZED else 0.0)
+        assert params.layer_cost == params.layer_cost
+
+    def test_replace_works_it_out_afresh(self):
+        params = RewardParams(0.02, 12)
+        assert params.layer_cost == 0.02
+        assert replace(params, variant=RewardVariant.PRODUCT).layer_cost == 0.0
+        assert replace(params, lam=0.05).layer_cost == 0.05
+        assert replace(params).layer_cost == 0.02
+
+    def test_not_part_of_the_value(self):
+        read, unread = RewardParams(0.02, 12), RewardParams(0.02, 12)
+        assert read.layer_cost == 0.02
+        assert [f.name for f in fields(read)] == ["lam", "num_layers", "variant"]
+        assert "layer_cost" not in repr(read) and repr(read) == repr(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert pickle.loads(pickle.dumps(read)) == unread
+        with pytest.raises(AttributeError):
+            read.layer_cost = 0.5
 
 
 class TestLambdaFromEpsilon:

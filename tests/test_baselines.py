@@ -53,6 +53,8 @@ class TestFixedPolicy:
             FixedPolicy('0.5')
         with pytest.raises(ValueError, match="threshold"):
             FixedPolicy(True)
+        with pytest.raises(ValueError, match="threshold"):
+            FixedPolicy(np.True_)
 
     def test_unit_threshold_forces_final_on_sub_unit_scores(self):
         samples = constant_stream([0.8, 0.9, 0.95], 20)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from exitbandit import harness
 from exitbandit.cli import build_parser, main
 from exitbandit.harness import TRACE_HEADER
 from exitbandit.reliability import ReliabilityModel
@@ -281,6 +282,21 @@ class TestErrorReporting:
         cfg = write_config(tmp_path, turbo=True)
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "turbo" in json.loads(capsys.readouterr().err.strip())["error"]
+
+    # a size the machine cannot hold, such as {"grid": {"size": 10**12}}, reaches
+    # numpy as a MemoryError; the run is stubbed so nothing large is allocated
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory(self, capsys, tmp_path, monkeypatch, error, message):
+        def run_experiment(config):
+            raise error
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0]) == {"error": message}
 
 
 class TestEntryPoints:

@@ -51,10 +51,14 @@ class TestThresholdGrid:
         with pytest.raises(ValueError, match="non-empty"):
             ThresholdGrid(())
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, True])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, True, np.True_])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="outside"):
             ThresholdGrid((bad,))
+
+    def test_numpy_bool_after_a_valid_value_rejected(self):
+        with pytest.raises(ValueError, match="threshold np.True_ outside"):
+            ThresholdGrid((0.5, np.True_))
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

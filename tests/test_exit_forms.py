@@ -146,7 +146,7 @@ class TestExitRow:
     def test_out_of_range_threshold_raises_like_decide(self):
         sample = make_sample([0.9, 0.9])
         row = one_row(sample)
-        for bad in (0.0, -0.2, 1.5, "0.5", True):
+        for bad in (0.0, -0.2, 1.5, "0.5", True, np.True_):
             with pytest.raises(ValueError, match="threshold"):
                 decide(sample, bad)
             with pytest.raises(ValueError, match="threshold"):
@@ -506,6 +506,15 @@ class TestExitColumns:
         for arms in ([0.5] * 3, (0.5,) * 5):
             with pytest.raises(ValueError, match=f"{len(arms)} arms for 4 rows"):
                 table_exits(table, arms)
+        # a bool equals 1.0, and is rejected wherever it stands among the arms
+        for bad in ([1.0, True, 0.5, 0.5], [True, 1.0, 0.5, 0.5], (1.0, 0.5, None, True),
+                    [np.float64(1.0), np.True_, 0.5, 0.5], [1, True, 0.5, 0.5],
+                    np.array([1.0, True, 0.5, 0.5], dtype=object),
+                    np.ones(len(table), dtype=bool), np.True_):
+            with pytest.raises(ValueError, match="threshold (True|np.True_) outside"):
+                table_exits(table, bad)
+        at_one = table_exits(table, [1.0, 1, np.float64(1.0), 1.0])
+        np.testing.assert_array_equal(at_one, table_exits(table, 1.0))
         with pytest.raises(ValueError, match="threshold"):
             exit_distribution(samples, None)
 

@@ -1,5 +1,8 @@
 """Exit rule: first threshold crossing, laziness, and the histogram view."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_sample
 from exitbandit import (
     Criterion,
+    ExitDecision,
     GeneratorParams,
     SampleOutcomes,
     ShiftSchedule,
@@ -77,7 +81,7 @@ class TestDecide:
         assert scored_confidences == [0.1, 0.2]
         assert d.score_at_exit == 0.2
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1, "0.5", None, True])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1, "0.5", None, True, np.True_])
     def test_invalid_threshold_rejected(self, bad):
         with pytest.raises(ValueError, match="threshold"):
             decide(make_sample([0.5, 0.5]), bad)
@@ -114,6 +118,47 @@ class TestDecide:
         crossing = [i for i in range(L - 1) if scores[i] >= tau]
         expected = crossing[0] + 1 if crossing else L
         assert decide(sample, tau).exit_layer == expected
+
+
+class TestExitDecision:
+    def test_fields_in_order(self):
+        d = decide(make_sample([0.3, 0.75, 0.9]), 0.7)
+        assert ExitDecision._fields == ("exit_layer", "score_at_exit", "early")
+        assert tuple(d) == (d.exit_layer, d.score_at_exit, d.early) == (2, 0.75, True)
+
+    def test_repr(self):
+        assert repr(ExitDecision(3, 0.5, False)) == \
+            "ExitDecision(exit_layer=3, score_at_exit=0.5, early=False)"
+
+    def test_immutable(self):
+        d = ExitDecision(2, 0.75, True)
+        for name in ExitDecision._fields:
+            with pytest.raises(AttributeError):
+                setattr(d, name, 1)
+        with pytest.raises(AttributeError):
+            d.extra = 1
+
+    def test_equal_decisions_compare_and_hash_equal(self):
+        d = decide(make_sample([0.3, 0.75, 0.9]), 0.7)
+        same = ExitDecision(2, 0.75, True)
+        assert d == same and hash(d) == hash(same)
+        assert len({d, same, ExitDecision(2, 0.75, False)}) == 2
+        assert d != ExitDecision(3, 0.75, True)
+
+
+class TestCriterionMembers:
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_keys_after_pickle_and_deepcopy(self, criterion):
+        for copied in (pickle.loads(pickle.dumps(criterion)), copy.deepcopy(criterion)):
+            assert copied is criterion and hash(copied) == hash(criterion)
+            assert {criterion: 1}[copied] == 1 and copied in {criterion}
+            assert exits._SCORERS[copied] is exits._SCORERS[criterion]
+            assert layer_score(0.8, 0.25, copied) == layer_score(0.8, 0.25, criterion)
+
+    @pytest.mark.parametrize("criterion", ["product", Criterion.PRODUCT.value, None, 0])
+    def test_value_is_not_a_criterion(self, criterion):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            decide(make_sample([0.9, 0.9]), 0.5, criterion)
 
 
 class TestExitDistribution:
