@@ -16,9 +16,8 @@ dominates at ten arms.
 The deployed step (select -> decide -> reward -> observe) does no hashing in
 Python and works nothing out again: Criterion and RewardVariant hash by
 identity (Enum's own __hash__ is a Python function, and the step hashed a
-member twice), RewardParams.layer_cost is worked out once per instance, and
-select_index reads math.sqrt from a local name. In a step of a few
-microseconds, each such call is a visible share.
+member twice), and RewardParams.layer_cost is worked out once per instance.
+In a step of a few microseconds, each such call is a visible share.
 """
 
 from __future__ import annotations
@@ -201,11 +200,10 @@ class BanditState:
         gamma = self.gamma
         q = self.q_values
         n = self.pull_counts
-        sqrt = math.sqrt
         best = 0
-        best_index = q[0] + gamma * sqrt(log_t / n[0])
+        best_index = q[0] + gamma * math.sqrt(log_t / n[0])
         for i in range(1, k):
-            v = q[i] + gamma * sqrt(log_t / n[i])
+            v = q[i] + gamma * math.sqrt(log_t / n[i])
             if v > best_index:
                 best_index = v
                 best = i

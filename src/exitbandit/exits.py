@@ -156,8 +156,10 @@ def table_exits(table, arms):
         if arm is not None:
             require_threshold(arm)
     # a bool equals 1 and dedupes into an equal arm before it; look for one only then
-    if per_row and 1 in distinct and not _BOOLS.isdisjoint(map(type, arms)):
-        require_threshold(next(arm for arm in arms if type(arm) in _BOOLS))
+    if per_row and 1 in distinct:
+        bad = next((arm for arm in arms if type(arm) in _BOOLS), None)
+        if bad is not None:
+            require_threshold(bad)
     if per_row and len(arms) != len(table):
         raise ValueError(f"{len(arms)} arms for {len(table)} rows")
     thresholds = np.array(arms, dtype=np.float64)  # None becomes NaN

@@ -158,6 +158,9 @@ class TestExitRow:
             exit_table([sample], "product")
         with pytest.raises(ValueError, match="criterion"):
             decide(sample, 0.5, "product")
+        for not_a_criterion in (None, 0):
+            with pytest.raises(ValueError, match="unknown criterion"):
+                decide(sample, 0.5, not_a_criterion)
 
 
 class TestRunManyMatchesDecide:

@@ -155,11 +155,6 @@ class TestCriterionMembers:
             assert exits._SCORERS[copied] is exits._SCORERS[criterion]
             assert layer_score(0.8, 0.25, copied) == layer_score(0.8, 0.25, criterion)
 
-    @pytest.mark.parametrize("criterion", ["product", Criterion.PRODUCT.value, None, 0])
-    def test_value_is_not_a_criterion(self, criterion):
-        with pytest.raises(ValueError, match="unknown criterion"):
-            decide(make_sample([0.9, 0.9]), 0.5, criterion)
-
 
 class TestExitDistribution:
     def test_all_exit_first_layer(self):
