@@ -71,6 +71,11 @@ TRACE_HEADER = ("round", "arm", "exit_layer", "score", "reward",
                 "correct_prob", "correct", "cum_regret")
 TRACE_ROW = "%d,%s,%d,%.9g,%.9g,%.9g,%d,%.9g\r\n"
 DEFAULT_EPSILON = 0.01
+# Size caps, checked before anything of that size is allocated. They sit far
+# above any depth or grid a run uses; past them a config is a typo, and numpy
+# would fail on it with a MemoryError or first allocate gigabytes.
+MAX_NUM_LAYERS = 10_000
+MAX_GRID_SIZE = 100_000
 
 
 class ConfigError(ValueError):
@@ -108,9 +113,12 @@ _GENERATOR_KEYS = tuple(f.name for f in dataclasses.fields(GeneratorParams))
 def _parse_generator(payload, where: str) -> GeneratorParams:
     _strict(payload, _GENERATOR_KEYS, where)
     try:
-        return GeneratorParams(**payload)
+        params = GeneratorParams(**payload)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid {where}: {e}") from e
+    if params.num_layers > MAX_NUM_LAYERS:
+        raise ConfigError(f"{where}.num_layers must be <= {MAX_NUM_LAYERS}")
+    return params
 
 
 def _parse_schedule(payload, where: str) -> ShiftSchedule:
@@ -146,6 +154,8 @@ def _parse_grid(payload, where: str) -> ThresholdGrid:
         high = _number(payload.get("high", DEFAULT_GRID_HIGH), f"{where}.high")
         if size < 1:
             raise ConfigError(f"{where}.size must be >= 1")
+        if size > MAX_GRID_SIZE:
+            raise ConfigError(f"{where}.size must be <= {MAX_GRID_SIZE}")
         values = tuple(float(v) for v in np.linspace(low, high, size))
     try:
         grid = ThresholdGrid(values)

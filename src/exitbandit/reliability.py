@@ -126,6 +126,8 @@ class Dataset:
     correct: np.ndarray
     num_layers: int
     layer_rows: list[slice] = field(init=False)
+    # objective_gradient's full-length columns, overwritten by every call
+    _work: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.inputs.shape[0]
@@ -150,6 +152,13 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.inputs.shape[1] - 2
+
+    def _work_columns(self) -> np.ndarray:
+        """Four float64 columns of len(self) rows, made on first use and
+        again whenever the row count changes."""
+        if self._work is None or self._work.shape[1] != len(self):
+            self._work = np.empty((4, len(self)))
+        return self._work
 
 
 def dataset_from_samples(samples) -> Dataset:
@@ -235,6 +244,14 @@ def objective(
     return loss
 
 
+def _sigmoid_in_place(x: np.ndarray) -> None:
+    """x <- _sigmoid(x), with the same operations in the same order."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(1.0, x, out=x)
+    np.divide(1.0, x, out=x)
+
+
 def objective_gradient(
     weights: np.ndarray,
     dataset: Dataset,
@@ -246,60 +263,79 @@ def objective_gradient(
     Per exit i: mean(ce * (1 + g)) + hinge_sq(c_i - smooth coverage), where
     the smooth coverage is mean(sigmoid(sharpness * (g - 0.5))). Exits are
     depth-weighted by i / sum(1..L).
+
+    The full-length columns are written into the dataset's work arrays, so
+    a call allocates only per-layer and per-weight arrays. When every layer
+    holds the same m rows, each column is read as an (L, m) view.
     """
     if len(targets) != dataset.num_layers:
         raise ValueError("targets length must equal num_layers")
     w = np.asarray(weights, dtype=np.float64)
-    g = _sigmoid(dataset.inputs @ w)
-    g_prime = g * (1.0 - g)
-    surrogate = _sigmoid(sharpness * (g - 0.5))
-    surrogate_prime = sharpness * surrogate * (1.0 - surrogate)
-
-    depth_weights = np.arange(1, dataset.num_layers + 1, dtype=np.float64)
-    depth_weights /= depth_weights.sum()
-
     ce = dataset.cross_entropy
-    fit_terms = ce * (1.0 + g)
-    ce_g_prime = ce * g_prime
+    g, g_prime, surrogate, spare = dataset._work_columns()
+    np.matmul(dataset.inputs, w, out=g)
+    _sigmoid_in_place(g)
+    np.subtract(1.0, g, out=g_prime)
+    np.multiply(g, g_prime, out=g_prime)
+    np.subtract(g, 0.5, out=surrogate)
+    np.multiply(sharpness, surrogate, out=surrogate)
+    _sigmoid_in_place(surrogate)
+    fit_terms = spare
+    np.add(1.0, g, out=fit_terms)
+    np.multiply(ce, fit_terms, out=fit_terms)
 
+    num_layers = dataset.num_layers
+    sizes = [rows.stop - rows.start for rows in dataset.layer_rows]
+    m = sizes[0] if sizes.count(sizes[0]) == num_layers else None
+    # np.add.reduce over each row of an (L, m) view sums pairwise, as it does
+    # over each layer's slice; sum / m is np.mean's arithmetic
+    if m is not None:
+        fit = np.add.reduce(fit_terms.reshape(num_layers, m), axis=1) / m
+        cov = np.add.reduce(surrogate.reshape(num_layers, m), axis=1) / m
+    else:
+        fit = np.asarray([np.add.reduce(fit_terms[rows]) for rows in dataset.layer_rows]) / sizes
+        cov = np.asarray([np.add.reduce(surrogate[rows]) for rows in dataset.layer_rows]) / sizes
+    gaps = np.asarray(targets.c_per_exit, dtype=np.float64) - cov
+
+    depth_weights = np.arange(1, num_layers + 1, dtype=np.float64)
+    depth_weights /= depth_weights.sum()
     total = 0.0
+    for i, (fit_i, gap) in enumerate(zip(fit.tolist(), gaps.tolist())):
+        total += depth_weights[i] * (fit_i + hinge_sq(gap))
+
+    # g and surrogate are spent: they become sharpness * s * (1 - s), left to
+    # right, and ce * g' / m, the hinge-free part of dL/dz
+    surrogate_prime = g
+    np.multiply(sharpness, surrogate, out=surrogate_prime)
+    np.subtract(1.0, surrogate, out=spare)
+    np.multiply(surrogate_prime, spare, out=surrogate_prime)
+    dg = surrogate
+    np.multiply(ce, g_prime, out=dg)
+
     grad = np.zeros_like(w)
-    # float(np.add.reduce(x) / m) is np.mean(x)'s arithmetic, without its overhead
-    for i, rows in enumerate(dataset.layer_rows):
-        m = rows.stop - rows.start
-        fit = float(np.add.reduce(fit_terms[rows]) / m)
-        cov = float(np.add.reduce(surrogate[rows]) / m)
-        gap = targets.c_per_exit[i] - cov
-        total += depth_weights[i] * (fit + hinge_sq(gap))
+    if m is None:
+        for i, rows in enumerate(dataset.layer_rows):
+            dg_i = dg[rows] / sizes[i]
+            if gaps[i] > 0.0:
+                # keep the left-to-right product: (sp * g') first changes the bits
+                dg_i = dg_i - (2.0 * gaps[i] / sizes[i]) * surrogate_prime[rows] * g_prime[rows]
+            grad += depth_weights[i] * (dg_i @ dataset.inputs[rows])
+        return total, grad
 
-        dg = ce_g_prime[rows] / m
-        if gap > 0.0:
-            # keep the left-to-right product: (sp * g') first changes the bits
-            dg = dg - (2.0 * gap / m) * surrogate_prime[rows] * g_prime[rows]
-        grad += depth_weights[i] * (dg @ dataset.inputs[rows])
+    np.divide(dg, m, out=dg)
+    # an inactive hinge's coefficient is +0.0, and dg - (+0.0 * sp) * g' is
+    # dg bit for bit (sp and g' are >= 0), so one pass serves every layer
+    # (a ufunc given the (L, 1) column itself would buffer a full column)
+    spare.reshape(num_layers, m)[...] = np.where(gaps > 0.0, 2.0 * gaps / m, 0.0)[:, None]
+    np.multiply(spare, surrogate_prime, out=spare)
+    np.multiply(spare, g_prime, out=spare)
+    np.subtract(dg, spare, out=dg)
+    # one gemv per layer, as dg[rows] @ inputs[rows] issues
+    per_layer = np.matmul(dg.reshape(num_layers, 1, m),
+                          dataset.inputs.reshape(num_layers, m, -1))
+    for i in range(num_layers):
+        grad += depth_weights[i] * per_layer[i, 0]
     return total, grad
-
-
-def finite_difference_gradient(
-    weights: np.ndarray,
-    dataset: Dataset,
-    targets: CoverageTargets,
-    sharpness: float = SURROGATE_SHARPNESS,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central differences of the training objective, for gradient checks."""
-    w = np.asarray(weights, dtype=np.float64)
-    out = np.zeros_like(w)
-    for j in range(len(w)):
-        hi = w.copy()
-        lo = w.copy()
-        hi[j] += step
-        lo[j] -= step
-        out[j] = (
-            objective(hi, dataset, targets, sharpness)
-            - objective(lo, dataset, targets, sharpness)
-        ) / (2.0 * step)
-    return out
 
 
 def train(
@@ -340,92 +376,6 @@ def train(
             loss_history.append(loss)
         w -= hyperparams.learning_rate * grad
     return ReliabilityModel(tuple(float(v) for v in w), dataset.num_layers)
-
-
-def loss_interference_experiment(
-    seed: int = 0,
-    *,
-    num_layers: int = 6,
-    n_train: int = 2000,
-    n_test: int = 4000,
-    epochs: int = 300,
-    learning_rate: float = 0.1,
-    sharpness: float = SURROGATE_SHARPNESS,
-) -> dict[str, float]:
-    """Does adding the reliability term disturb the classifier it rides on?
-
-    Builds a small multi-depth binary task (deeper layers see cleaner
-    features), then trains the same logistic classifier twice from the same
-    init: once on depth-weighted plain cross-entropy, once jointly with a
-    reliability scorer under the full objective (ce scaled by 1 + g plus
-    the coverage hinge). The scorer's gradient is objective_gradient's on a
-    Dataset of the classifier's per-layer rows; only the classifier's
-    (1 + g)-scaled gradient is written out here. Returns both deepest-layer
-    held-out accuracies and their gap.
-    """
-    rng = np.random.default_rng(seed)
-    true_w = np.asarray([1.5, -1.0])
-
-    def make_split(n):
-        z = rng.standard_normal((n, 2))
-        y = (z @ true_w > 0.0).astype(np.float64)
-        # layer i sees z blurred by (L - i)/(L - 1); the deepest is clean
-        xs = []
-        for i in range(1, num_layers + 1):
-            blur = 0.8 * (num_layers - i) / (num_layers - 1)
-            xs.append(z + blur * rng.standard_normal((n, 2)))
-        return np.stack(xs), y  # (L, n, 2)
-
-    x_train, y_train = make_split(n_train)
-    x_test, y_test = make_split(n_test)
-
-    depth_w = np.arange(1, num_layers + 1, dtype=np.float64)
-    depth_w /= depth_w.sum()
-    layer_index = np.repeat(np.arange(1, num_layers + 1), n_train)
-    # the scorer's design rows [x, layer/L, 1], layer-major as in a Dataset
-    g_in = np.column_stack(
-        (x_train.reshape(-1, 2), layer_index / num_layers, np.ones(len(layer_index)))
-    )
-    # objective_gradient reads only the design rows and the cross-entropy
-    # column, which each joint epoch refills with the classifier's current loss
-    rows = Dataset(g_in, np.zeros(len(layer_index)), layer_index,
-                   np.zeros(len(layer_index), dtype=bool), num_layers)
-    warmup = CoverageTargets((0.0,) * num_layers)
-    targets = CoverageTargets((0.7,) * num_layers)
-    eps = 1e-12
-
-    def run(joint: bool):
-        v = np.zeros(3)
-        wg = np.zeros(4)
-        for epoch in range(epochs):
-            p = _sigmoid(x_train @ v[:2] + v[2])  # (L, n)
-            scale = 1.0
-            if joint:
-                ce = -(y_train * np.log(np.maximum(p, eps))
-                       + (1.0 - y_train) * np.log(np.maximum(1.0 - p, eps)))
-                scale = 1.0 + _sigmoid(g_in @ wg).reshape(num_layers, n_train)
-                rows.cross_entropy = ce.ravel()
-                # the first epoch trains with zero coverage floors, as train does
-                _, grad_g = objective_gradient(
-                    wg, rows, warmup if epoch == 0 else targets, sharpness)
-                wg -= learning_rate * grad_g
-            # classifier cross-entropy gradient, scaled by (1 + g) when joint
-            coeff = depth_w[:, None] * scale * (p - y_train) / n_train
-            grad_v = np.append(np.einsum("ln,lnd->d", coeff, x_train), coeff.sum())
-            v -= learning_rate * grad_v
-        return v
-
-    def final_accuracy(v):
-        logits = x_test[-1] @ v[:2] + v[2]
-        return float(np.mean((logits > 0.0) == (y_test > 0.5)))
-
-    acc_plain = final_accuracy(run(joint=False))
-    acc_joint = final_accuracy(run(joint=True))
-    return {
-        "accuracy_plain_ce": acc_plain,
-        "accuracy_joint": acc_joint,
-        "gap": abs(acc_plain - acc_joint),
-    }
 
 
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:

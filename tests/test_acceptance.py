@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import make_sample
+from reliability_checks import finite_difference_gradient, loss_interference_experiment
 from exitbandit import (
     BanditState,
     Criterion,
@@ -48,8 +49,6 @@ from exitbandit.reliability import (
     auc_score,
     batch_scores,
     coverage,
-    finite_difference_gradient,
-    loss_interference_experiment,
     objective_gradient,
 )
 from exitbandit.simulator import sample_block

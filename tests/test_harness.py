@@ -322,6 +322,91 @@ def test_integral_and_finite_values_still_parse():
     assert [start for start, _ in cfg.schedule.segments] == [1, 6]
 
 
+# both used to get past parse_config: the grid as numpy's MemoryError from
+# np.linspace, the depth as a config that fails at its first allocation
+@pytest.mark.parametrize("payload, where, cap", [
+    (minimal(grid={"size": 10**12}), "grid.size", "MAX_GRID_SIZE"),
+    (minimal(generator={"num_layers": 10**9}), "generator.num_layers", "MAX_NUM_LAYERS"),
+])
+def test_sizes_no_machine_can_hold_are_config_errors(payload, where, cap):
+    with pytest.raises(ConfigError, match=re.escape(f"{where} must be <= {getattr(harness, cap)}")):
+        parse_config(payload)
+
+
+def test_size_caps_are_inclusive():
+    assert max(harness.MAX_GRID_SIZE, harness.MAX_NUM_LAYERS) < 10**6  # see JSON_SCALARS
+    # a depth allocates nothing at parse time, so the cap itself is cheap to parse
+    deep = parse_config(minimal(generator={"num_layers": harness.MAX_NUM_LAYERS}))
+    assert deep.num_layers == harness.MAX_NUM_LAYERS
+    segments = [{"start_round": 1, "generator": {}},
+                {"start_round": 5, "generator": {"num_layers": harness.MAX_NUM_LAYERS + 1}}]
+    with pytest.raises(ConfigError, match=r"schedule\[1\].generator.num_layers"):
+        parse_config({"num_rounds": 100, "schedule": segments})
+
+
+# any JSON value: small integers, or integers past every size cap, so that no
+# example allocates more than a small grid
+JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers(-2, 40) | st.integers(min_value=10**6)
+    | st.floats()
+    | st.sampled_from(["auto", "ucb", "uat", "fixed", "round", "horizon", "results"]
+                      + [v.value for v in RewardVariant] + [c.value for c in Criterion])
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+# the keys each object of a config document knows
+OBJECT_KEYS = {
+    "config": harness._TOP_KEYS,
+    "generator": harness._GENERATOR_KEYS,
+    "grid": ("values", "size", "low", "high"),
+    "policy": ("type", "tau"),
+    "reliability": ("epochs", "learning_rate", "sharpness", "holdout_fraction"),
+}
+
+
+@st.composite
+def parser_docs(draw):
+    """A config document near the schema: a CONFIG_DOCS draw, maybe turned into
+    a two-segment schedule and given reliability settings, then up to three of
+    its real keys, top-level or nested, set to any JSON value."""
+    doc = draw(CONFIG_DOCS)
+    if draw(st.booleans()):
+        doc["schedule"] = [{"start_round": 1, "generator": doc.pop("generator")},
+                           {"start_round": draw(st.integers(-1, 12)), "generator": {}}]
+    if draw(st.booleans()):
+        doc["reliability"] = draw(st.fixed_dictionaries({}, optional={
+            "epochs": st.integers(-1, 3), "learning_rate": _floats(-0.1, 1.0),
+            "sharpness": _floats(-1.0, 60.0), "holdout_fraction": _floats(-0.1, 1.1)}))
+    owners = {"config": doc, **{k: v for k, v in doc.items() if isinstance(v, dict)}}
+    if "schedule" in doc:
+        owners["generator"] = doc["schedule"][0]["generator"]
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(owners)))
+        owners[name][draw(st.sampled_from(OBJECT_KEYS[name]))] = draw(JSON_VALUES)
+    return doc
+
+
+PARSER_DOCS = parser_docs()
+
+
+@given(payload=PARSER_DOCS)
+@settings(max_examples=400, deadline=None)
+def test_parse_config_returns_or_raises_config_error(payload):
+    try:
+        config = parse_config(payload)
+    except ConfigError:
+        return
+    assert harness.derive(config, {}) == config
+
+
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "config.json"

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_sample
+from reliability_checks import finite_difference_gradient, loss_interference_experiment
 from exitbandit import (
     GeneratorParams,
     SampleOutcomes,
@@ -28,9 +30,7 @@ from exitbandit.reliability import (
     batch_scores,
     compute_c,
     coverage,
-    finite_difference_gradient,
     hinge_sq,
-    loss_interference_experiment,
     objective_gradient,
     per_exit_coverage,
 )
@@ -416,6 +416,50 @@ class TestMatchesGatheredObjective:
         ref_model = train(ds, targets, hp, loss_history=ref_history)
         assert model.weights == ref_model.weights
         assert history == ref_history
+
+    def test_some_weights_mix_active_and_inactive_hinges(self, case):
+        # the (L, m) epoch folds the hinge's on/off branch into a per-layer
+        # coefficient; the weights above must give both values in one call
+        ds, targets = BIT_IDENTITY_CASES[case]()
+        rng = np.random.default_rng(33)
+        mixed = False
+        for scale in (0.1, 0.5, 2.0):
+            w = rng.normal(scale=scale, size=ds.feature_dim + 2)
+            g = 1.0 / (1.0 + np.exp(-(ds.inputs @ w)))
+            s = 1.0 / (1.0 + np.exp(-(SURROGATE_SHARPNESS * (g - 0.5))))
+            active = {c > np.mean(s[rows]) for c, rows in zip(targets.c_per_exit, ds.layer_rows)}
+            mixed |= active == {True, False}
+        assert mixed
+
+    def test_replaced_cross_entropy_is_read_again(self, case):
+        # loss_interference_experiment refills cross_entropy before every epoch
+        ds, targets = BIT_IDENTITY_CASES[case]()
+        rng = np.random.default_rng(34)
+        w = rng.normal(scale=0.5, size=ds.feature_dim + 2)
+        first_loss, first_grad = objective_gradient(w, ds, targets)
+        kept = first_grad.tolist()
+        ref_loss, ref_grad = gathered_objective_gradient(w, ds, targets)
+        assert first_loss == ref_loss and kept == ref_grad.tolist()
+        ds.cross_entropy = rng.uniform(0.0, 3.0, len(ds))
+        loss, grad = objective_gradient(w, ds, targets)
+        ref_loss, ref_grad = gathered_objective_gradient(w, ds, targets)
+        assert loss == ref_loss and grad.tolist() == ref_grad.tolist()
+        assert first_grad.tolist() == kept
+
+
+def test_repeated_call_allocates_less_than_one_column():
+    # every full-length column lives in the dataset's work arrays after the
+    # first call; a call then allocates only per-layer and per-weight arrays
+    ds, targets = _stream_case(12, 31)
+    w = np.random.default_rng(35).normal(scale=0.5, size=ds.feature_dim + 2)
+    objective_gradient(w, ds, targets)
+    tracemalloc.start()
+    try:
+        objective_gradient(w, ds, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(ds) * np.dtype(np.float64).itemsize
 
 
 class TestTrain:
