@@ -41,9 +41,15 @@ def require_count(name: str, value, least: int) -> None:
 
 
 def require_finite(name: str, value) -> None:
-    """Reject anything but a finite real number; bool is never one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
+    """Reject anything but a finite real number; bool is never one, nor is an
+    integer too large for a float."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got an integer too large "
+                         "for a float") from None
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

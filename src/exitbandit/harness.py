@@ -102,9 +102,13 @@ def _number(value, where: str) -> float:
     """A finite JSON number; booleans, strings, NaN and infinities are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 _GENERATOR_KEYS = tuple(f.name for f in dataclasses.fields(GeneratorParams))

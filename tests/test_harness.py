@@ -333,6 +333,17 @@ def test_sizes_no_machine_can_hold_are_config_errors(payload, where, cap):
         parse_config(payload)
 
 
+# a JSON integer too large for a float used to escape as OverflowError
+@pytest.mark.parametrize("payload", [
+    minimal(gamma=10**400),
+    minimal(generator={"depth_gain": 10**400}),
+    minimal(reliability={"learning_rate": -10**400}),
+], ids=["gamma", "generator", "reliability"])
+def test_integer_past_float_range_is_a_config_error(payload):
+    with pytest.raises(ConfigError, match="integer too large for a float"):
+        parse_config(payload)
+
+
 def test_size_caps_are_inclusive():
     assert max(harness.MAX_GRID_SIZE, harness.MAX_NUM_LAYERS) < 10**6  # see JSON_SCALARS
     # a depth allocates nothing at parse time, so the cap itself is cheap to parse
@@ -344,11 +355,11 @@ def test_size_caps_are_inclusive():
         parse_config({"num_rounds": 100, "schedule": segments})
 
 
-# any JSON value: small integers, or integers past every size cap, so that no
-# example allocates more than a small grid
+# any JSON value: small integers, or integers past every size cap (up to past
+# float range), so that no example allocates more than a small grid
 JSON_SCALARS = (
     st.none() | st.booleans()
-    | st.integers(-2, 40) | st.integers(min_value=10**6)
+    | st.integers(-2, 40) | st.integers(min_value=10**6, max_value=10**400)
     | st.floats()
     | st.sampled_from(["auto", "ucb", "uat", "fixed", "round", "horizon", "results"]
                       + [v.value for v in RewardVariant] + [c.value for c in Criterion])
@@ -394,10 +405,7 @@ def parser_docs(draw):
     return doc
 
 
-PARSER_DOCS = parser_docs()
-
-
-@given(payload=PARSER_DOCS)
+@given(payload=parser_docs())
 @settings(max_examples=400, deadline=None)
 def test_parse_config_returns_or_raises_config_error(payload):
     try:
