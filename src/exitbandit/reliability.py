@@ -154,10 +154,10 @@ class Dataset:
         return self.inputs.shape[1] - 2
 
     def _work_columns(self) -> np.ndarray:
-        """Four float64 columns of len(self) rows, made on first use and
+        """Three float64 columns of len(self) rows, made on first use and
         again whenever the row count changes."""
         if self._work is None or self._work.shape[1] != len(self):
-            self._work = np.empty((4, len(self)))
+            self._work = np.empty((3, len(self)))
         return self._work
 
 
@@ -272,7 +272,8 @@ def objective_gradient(
         raise ValueError("targets length must equal num_layers")
     w = np.asarray(weights, dtype=np.float64)
     ce = dataset.cross_entropy
-    g, g_prime, surrogate, spare = dataset._work_columns()
+    # each column takes a second role once its first is spent
+    g, g_prime, surrogate = dataset._work_columns()
     np.matmul(dataset.inputs, w, out=g)
     _sigmoid_in_place(g)
     np.subtract(1.0, g, out=g_prime)
@@ -280,8 +281,8 @@ def objective_gradient(
     np.subtract(g, 0.5, out=surrogate)
     np.multiply(sharpness, surrogate, out=surrogate)
     _sigmoid_in_place(surrogate)
-    fit_terms = spare
-    np.add(1.0, g, out=fit_terms)
+    fit_terms = g
+    np.add(1.0, fit_terms, out=fit_terms)
     np.multiply(ce, fit_terms, out=fit_terms)
 
     num_layers = dataset.num_layers
@@ -303,33 +304,34 @@ def objective_gradient(
     for i, (fit_i, gap) in enumerate(zip(fit.tolist(), gaps.tolist())):
         total += depth_weights[i] * (fit_i + hinge_sq(gap))
 
-    # g and surrogate are spent: they become sharpness * s * (1 - s), left to
-    # right, and ce * g' / m, the hinge-free part of dL/dz
-    surrogate_prime = g
+    # sharpness * s * (1 - s), left to right
+    surrogate_prime = fit_terms
     np.multiply(sharpness, surrogate, out=surrogate_prime)
-    np.subtract(1.0, surrogate, out=spare)
-    np.multiply(surrogate_prime, spare, out=surrogate_prime)
-    dg = surrogate
-    np.multiply(ce, g_prime, out=dg)
+    np.subtract(1.0, surrogate, out=surrogate)
+    np.multiply(surrogate_prime, surrogate, out=surrogate_prime)
 
     grad = np.zeros_like(w)
     if m is None:
+        ce_g_prime = np.multiply(ce, g_prime, out=surrogate)
         for i, rows in enumerate(dataset.layer_rows):
-            dg_i = dg[rows] / sizes[i]
+            dg = ce_g_prime[rows] / sizes[i]
             if gaps[i] > 0.0:
                 # keep the left-to-right product: (sp * g') first changes the bits
-                dg_i = dg_i - (2.0 * gaps[i] / sizes[i]) * surrogate_prime[rows] * g_prime[rows]
-            grad += depth_weights[i] * (dg_i @ dataset.inputs[rows])
+                dg = dg - (2.0 * gaps[i] / sizes[i]) * surrogate_prime[rows] * g_prime[rows]
+            grad += depth_weights[i] * (dg @ dataset.inputs[rows])
         return total, grad
 
-    np.divide(dg, m, out=dg)
     # an inactive hinge's coefficient is +0.0, and dg - (+0.0 * sp) * g' is
     # dg bit for bit (sp and g' are >= 0), so one pass serves every layer
     # (a ufunc given the (L, 1) column itself would buffer a full column)
-    spare.reshape(num_layers, m)[...] = np.where(gaps > 0.0, 2.0 * gaps / m, 0.0)[:, None]
-    np.multiply(spare, surrogate_prime, out=spare)
-    np.multiply(spare, g_prime, out=spare)
-    np.subtract(dg, spare, out=dg)
+    hinge = surrogate
+    hinge.reshape(num_layers, m)[...] = np.where(gaps > 0.0, 2.0 * gaps / m, 0.0)[:, None]
+    np.multiply(hinge, surrogate_prime, out=hinge)
+    np.multiply(hinge, g_prime, out=hinge)
+    dg = g_prime
+    np.multiply(ce, dg, out=dg)
+    np.divide(dg, m, out=dg)
+    np.subtract(dg, hinge, out=dg)
     # one gemv per layer, as dg[rows] @ inputs[rows] issues
     per_layer = np.matmul(dg.reshape(num_layers, 1, m),
                           dataset.inputs.reshape(num_layers, m, -1))
@@ -375,6 +377,9 @@ def train(
         if loss_history is not None:
             loss_history.append(loss)
         w -= hyperparams.learning_rate * grad
+    # the work arrays serve the epochs only: drop them before the dataset is
+    # scored, which is where a run's memory peaks
+    dataset._work = None
     return ReliabilityModel(tuple(float(v) for v in w), dataset.num_layers)
 
 

@@ -477,6 +477,14 @@ class TestTrain:
         train(ds, targets, Hyperparams(epochs=epochs))
         assert len(calls) == epochs
 
+    def test_training_drops_the_work_arrays(self):
+        # they would otherwise be held while the trained dataset is scored
+        ds, targets = _stream_case(5, 32)
+        objective_gradient(np.zeros(ds.feature_dim + 2), ds, targets)
+        assert ds._work is not None
+        train(ds, targets, Hyperparams(epochs=2))
+        assert ds._work is None
+
     def test_loss_history_non_increasing_after_warmup(self):
         # epoch 1 runs against zeroed coverage floors, so only losses from
         # epoch 2 onward are comparable to each other
